@@ -14,6 +14,7 @@
 #ifndef SRC_COMMON_FLAT_TABLE_H_
 #define SRC_COMMON_FLAT_TABLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -183,6 +184,14 @@ class FlatMap64 {
 };
 
 // Flat open-addressing set of uint64 keys (same layout, no payload).
+//
+// Sets that are cleared often while holding few keys — an ASF context's
+// L1 read-set lines, cleared on every outermost commit and abort — would
+// pay for their high-water capacity on every Clear() and ForEach(). So the
+// set logs the keys inserted since the last Clear() while they number at
+// most capacity / kLogDiv; with that log, Clear() and ForEach() cost
+// O(keys inserted) instead of O(capacity). ForEach() still visits in slot
+// order, so callers see exactly what a full scan would show them.
 class FlatSet64 {
  public:
   explicit FlatSet64(size_t initial_capacity = 64) { Rehash(initial_capacity); }
@@ -207,6 +216,13 @@ class FlatSet64 {
     }
     keys_[s] = key;
     ++size_;
+    if (!log_overflow_) {
+      if (log_.size() * kLogDiv < keys_.size()) {
+        log_.push_back(key);
+      } else {
+        log_overflow_ = true;
+      }
+    }
     return true;
   }
 
@@ -234,7 +250,24 @@ class FlatSet64 {
   }
 
   void Clear() {
-    keys_.assign(keys_.size(), flat_internal::kEmptyKey);
+    if (log_overflow_) {
+      keys_.assign(keys_.size(), flat_internal::kEmptyKey);
+    } else {
+      // Every live key is in the log (erased ones may be too). Emptying the
+      // run from each logged key's home slot to the next empty slot clears
+      // every live key: a live key's home..slot span is fully occupied, so
+      // the run through it is either walked or was emptied by an earlier
+      // walk, which stops only at an empty slot. A walk starting on an
+      // emptied slot stops at once, so the total is O(log + size).
+      const size_t mask = keys_.size() - 1;
+      for (uint64_t key : log_) {
+        for (size_t s = HomeOf(key); keys_[s] != flat_internal::kEmptyKey; s = (s + 1) & mask) {
+          keys_[s] = flat_internal::kEmptyKey;
+        }
+      }
+    }
+    log_.clear();
+    log_overflow_ = false;
     size_ = 0;
   }
 
@@ -242,6 +275,30 @@ class FlatSet64 {
   // must not mutate the set while iterating.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
+    if (!log_overflow_ && log_.size() * kSparseVisitDiv <= keys_.size()) {
+      // Sparse: the live keys' slots, sorted — the full scan's order.
+      size_t stack_slots[kStackSlots];
+      std::vector<size_t> heap_slots;
+      size_t* slots = stack_slots;
+      if (log_.size() > kStackSlots) {
+        heap_slots.resize(log_.size());
+        slots = heap_slots.data();
+      }
+      size_t n = 0;
+      for (uint64_t key : log_) {
+        const size_t s = ProbeFor(key);
+        if (keys_[s] == key) {
+          slots[n++] = s;
+        }
+      }
+      std::sort(slots, slots + n);
+      for (size_t i = 0; i < n; ++i) {
+        if (i == 0 || slots[i] != slots[i - 1]) {  // Re-inserted keys log twice.
+          fn(keys_[slots[i]]);
+        }
+      }
+      return;
+    }
     for (uint64_t k : keys_) {
       if (k != flat_internal::kEmptyKey) {
         fn(k);
@@ -250,6 +307,13 @@ class FlatSet64 {
   }
 
  private:
+  // The log holds at most capacity / kLogDiv keys. ForEach sorts the logged
+  // keys' slots while they number at most capacity / kSparseVisitDiv (on
+  // the stack up to kStackSlots of them) and scans the table above that.
+  static constexpr size_t kLogDiv = 8;
+  static constexpr size_t kSparseVisitDiv = 16;
+  static constexpr size_t kStackSlots = 256;
+
   size_t HomeOf(uint64_t key) const {
     return static_cast<size_t>((key * flat_internal::kFibMul) >> shift_);
   }
@@ -283,6 +347,11 @@ class FlatSet64 {
   std::vector<uint64_t> keys_;
   size_t size_ = 0;
   uint32_t shift_ = 64;
+  // Keys inserted since the last Clear(), a superset of the live keys
+  // (erasure leaves them logged); abandoned once it outgrows
+  // capacity / kLogDiv (log_overflow_), until the next Clear().
+  std::vector<uint64_t> log_;
+  bool log_overflow_ = false;
 };
 
 }  // namespace asfcommon

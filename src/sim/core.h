@@ -147,6 +147,9 @@ class Core {
  public:
   Core(uint32_t id, const CoreParams& params) : id_(id), params_(params) {
     next_timer_ = params.timer_period;
+    for (uint64_t i = 0; i < kWorkTableSize; ++i) {
+      work_table_[i] = IpcCycles(i);
+    }
   }
 
   uint32_t id() const { return id_; }
@@ -160,9 +163,12 @@ class Core {
   // remembers the cycle category in effect when the work happened, so
   // application compute is attributed to app code even when it is flushed
   // from inside a TM barrier (which runs under its own category guard).
+  // Counts below kWorkTableSize (every modeled barrier and most app
+  // compute) read a table built from the same expression, so the charge is
+  // bit-identical either way.
   void WorkInstructions(uint64_t instructions) {
     pending_by_cat_[static_cast<size_t>(category_)] +=
-        static_cast<uint64_t>(static_cast<double>(instructions) / params_.ipc + 0.5);
+        instructions < kWorkTableSize ? work_table_[instructions] : IpcCycles(instructions);
     has_pending_work_ = true;
   }
   void WorkCycles(uint64_t cycles) {
@@ -223,6 +229,11 @@ class Core {
   void ResetStats();
 
  private:
+  static constexpr uint64_t kWorkTableSize = 256;
+  uint64_t IpcCycles(uint64_t instructions) const {
+    return static_cast<uint64_t>(static_cast<double>(instructions) / params_.ipc + 0.5);
+  }
+
   const uint32_t id_;
   const CoreParams params_;
   uint64_t clock_ = 0;
@@ -236,6 +247,7 @@ class Core {
   bool attempt_open_ = false;
   std::array<uint64_t, static_cast<size_t>(CycleCategory::kNumCategories)> categories_{};
   std::array<uint64_t, static_cast<size_t>(CycleCategory::kNumCategories)> attempt_buffer_{};
+  std::array<uint64_t, kWorkTableSize> work_table_;
 };
 
 // RAII guard that switches a core's cycle category and restores the previous

@@ -49,31 +49,18 @@ void SimThread::MarkAbort(AbortCause cause) {
 std::coroutine_handle<> SimThread::SubmitPendingOp(const PendingOp& op) {
   // TakePendingWork advances the clock by the accumulated ALU work (charging
   // each batch to its recording category); the access is then processed at
-  // its true issue cycle, in global order.
-  uint64_t work = core_->TakePendingWork();
-  if (work > 0) {
+  // its true issue cycle, in global order. Two dispatch decisions follow,
+  // each made once (Scheduler::ContinueOrWake): after the work flush and
+  // after the access. While the thread stays strictly first in global
+  // order it carries on right here; otherwise the wake is queued and the
+  // event loop finishes the job (OnWake) when the wake comes up.
+  if (core_->TakePendingWork() > 0 && !scheduler_->ContinueOrWake(*this)) {
     phase_ = Phase::kFlushWork;
     pending_ = op;
-    scheduler_->ScheduleWake(*this, core_->clock());
-    // If the flush wake parked in the slot it is the global minimum: no
-    // other thread's event lies between the pre-work and post-work clock,
-    // so the deferred processing can happen right now (exactly what
-    // OnWake would do one loop iteration later).
-    if (!scheduler_->TryConsumeSlot(*this)) {
-      return std::noop_coroutine();
-    }
-    phase_ = Phase::kIdle;
-    scheduler_->ProcessAccess(*this, op);
-  } else {
-    // The thread was just woken at the global minimum cycle; processing now
-    // preserves ordering.
-    scheduler_->ProcessAccess(*this, op);
+    return std::noop_coroutine();
   }
-  // ProcessAccess scheduled this thread's completion wake. If it parked in
-  // the slot (and no abort was marked while processing), it is again the
-  // global minimum: transfer control straight back into the thread instead
-  // of unwinding through the event loop.
-  if (!scheduler_->TryConsumeSlot(*this)) {
+  scheduler_->ProcessAccess(*this, op);
+  if (!scheduler_->ContinueOrWake(*this)) {
     return std::noop_coroutine();
   }
   std::coroutine_handle<> h = resume_point_;
@@ -271,7 +258,6 @@ SimThread& Scheduler::Spawn(Task<void> root) {
 }
 
 void Scheduler::ScheduleWake(SimThread& t, uint64_t cycle, bool yield) {
-  ++t.wake_seq_;
   if (t.in_worker_window_) {
     // Worker-window wakes are always self-wakes (sync primitives park before
     // waking anyone) and park in the window's single pending slot WITHOUT a
@@ -332,6 +318,30 @@ void Scheduler::ScheduleWake(SimThread& t, uint64_t cycle, bool yield) {
   } else {
     events_.push(ev);
   }
+}
+
+bool Scheduler::ContinueOrWake(SimThread& t) {
+  const uint64_t cycle = t.core_->clock();
+  if (slack_cycles_ != 0) {
+    ScheduleWake(t, cycle);
+    return t.in_worker_window_ ? TryConsumeWorker(t) : TryConsumeSlackBatch(t);
+  }
+  // The earliest other pending event is the slot if occupied (slot
+  // invariant), else the heap top. A new wake carries the largest seq ever
+  // issued, so it precedes that event iff its cycle is strictly smaller.
+  const bool first = has_next_ ? cycle < next_.cycle
+                               : events_.empty() || cycle < events_.top().cycle;
+  if (wake_fast_path_ && first && !t.abort_requested_ && inline_chain_ < kMaxInlineChain) {
+    // Exactly the counter updates of parking the wake in the slot and
+    // consuming it inline, without touching the slot or the heap.
+    ++next_seq_;
+    ++fast_wakes_;
+    ++inline_wakes_;
+    ++inline_chain_;
+    return true;
+  }
+  ScheduleWake(t, cycle);
+  return false;
 }
 
 void Scheduler::Run() {
@@ -854,6 +864,7 @@ void Scheduler::RunWindow(ExecWindow& w) {
     if (t.phase_ == SimThread::Phase::kFlushWork) {
       t.phase_ = SimThread::Phase::kIdle;
       ProcessAccess(t, t.pending_);
+      ScheduleWake(t, t.core_->clock());
     } else {
       std::coroutine_handle<> h = t.resume_point_;
       ASF_CHECK(h && !h.done());
@@ -957,7 +968,6 @@ bool Scheduler::WorkerProcessAccess(SimThread& t, const SimThread::PendingOp& op
       mfp.cur_r.Insert(line);
     }
   }
-  ScheduleWake(t, core.clock());
   return true;
 }
 
@@ -1286,6 +1296,7 @@ void Scheduler::OnWake(SimThread& t, uint64_t cycle) {
   if (t.phase_ == SimThread::Phase::kFlushWork) {
     t.phase_ = SimThread::Phase::kIdle;
     ProcessAccess(t, t.pending_);
+    ScheduleWake(t, t.core_->clock());
     return;
   }
   if (t.phase_ == SimThread::Phase::kSyncOp) {
@@ -1316,11 +1327,11 @@ void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
     // Trap: the access could not be proven core-confined. Zero simulated
     // effects have happened; defer the op to the coordinator as a flush-work
     // wake at the issue cycle and end the window pending there. The
-    // coordinator replays the identical access through the exact path.
+    // coordinator replays the identical access through the exact path (the
+    // caller parks the wake, as for any access).
     t.phase_ = SimThread::Phase::kFlushWork;
     t.pending_ = op;
     t.exec_trap_replay_ = true;
-    ScheduleWake(t, core.clock());
     ExecWindow& w = *exec_window_of_[t.id()];
     w.trapped = true;
     EndWindow(w, kWinEndedPending, core.clock());
@@ -1333,7 +1344,6 @@ void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
     core.AdvanceTo(core.clock() + core.params().timer_cost);
     if (handler_->OnInterrupt(t)) {
       t.MarkAbort(AbortCause::kInterrupt);
-      ScheduleWake(t, core.clock());
       return;
     }
   }
@@ -1388,7 +1398,6 @@ void Scheduler::ProcessAccess(SimThread& t, const SimThread::PendingOp& op) {
   if (track_footprints_) {
     TrackFootprint(t, op);
   }
-  ScheduleWake(t, core.clock());
 }
 
 void Scheduler::DoControlAbort(SimThread& t) {

@@ -347,7 +347,6 @@ class SimThread {
   bool abort_requested_ = false;
   asfcommon::AbortCause abort_cause_ = asfcommon::AbortCause::kNone;
   AbortScope* scope_ = nullptr;
-  uint64_t wake_seq_ = 0;
   // One memory operation, as queued while work cycles flush.
   struct PendingOp {
     AccessKind kind = AccessKind::kLoad;
@@ -361,7 +360,7 @@ class SimThread {
   // Flushes pending work cycles, then processes `op` at its issue cycle.
   // Returns the coroutine to transfer into from the awaiter's await_suspend:
   // this thread's own resume point when the access completed synchronously
-  // (see Scheduler::TryConsumeSlot), or std::noop_coroutine() to suspend
+  // (see Scheduler::ContinueOrWake), or std::noop_coroutine() to suspend
   // into the event loop.
   std::coroutine_handle<> SubmitPendingOp(const PendingOp& op);
 
@@ -371,7 +370,7 @@ class SimThread {
   // --- Host-parallel window execution (see Scheduler::RunSlackParallel) ----
   // True while this thread's coroutine frames run on a pool worker. Checked
   // by every path that would otherwise touch coordinator-only or cross-
-  // thread state (ScheduleWake, TryConsumeSlot, ProcessAccess, the sync
+  // thread state (ScheduleWake, ContinueOrWake, ProcessAccess, the sync
   // primitives' awaiters).
   bool in_worker_window_ = false;
   // Set when a worker window traps on this thread's access: the re-parked
@@ -433,8 +432,9 @@ class Scheduler {
 
   // Host-side wake accounting (perf counters, zero simulated cost): total
   // wakes ever scheduled, how many took the next-event fast path (no heap
-  // traffic), and how many of those were consumed inline — handled at the
-  // suspension point itself, without an event-loop iteration.
+  // traffic), and how many of those were consumed inline — the thread
+  // continued at the suspension point itself, without an event-loop
+  // iteration (ContinueOrWake counts those as scheduled, fast and inline).
   // bench/perf_selfcheck reports the hit rates.
   uint64_t wakes_scheduled() const { return next_seq_; }
   uint64_t fast_wakes() const { return fast_wakes_; }
@@ -545,40 +545,27 @@ class Scheduler {
 
   void OnWake(SimThread& t, uint64_t cycle);
 
-  // Inline-wake fast path: if the next-event slot holds `t`'s own wake and no
-  // abort is pending, that wake is the global minimum (slot invariant) and
-  // Run()'s next iteration would do nothing but advance `t`'s clock and hand
-  // control straight back — so do exactly that here, at the suspension point,
-  // and let the awaiter symmetric-transfer into the thread without ever
-  // unwinding to the event loop. Returns true iff the slot was consumed; the
-  // caller performs the phase-specific half of OnWake itself. Order-neutral
-  // by construction: the consumed event is the one Run() would pop next, and
-  // the same operations are applied to it.
+  // The dispatch decision for `t`'s own wake at its current clock, made at
+  // a suspension point (after a work flush, after an access). Exact mode:
+  // if the wake would strictly precede every other pending event (the slot,
+  // else the heap top) and no abort is pending, Run()'s next iteration
+  // would do nothing but hand control straight back to `t` — so `t` simply
+  // continues: returns true, queues nothing, and bumps next_seq_,
+  // fast_wakes_ and inline_wakes_ exactly as parking the wake in the slot
+  // and consuming it would, keeping seq tie-breaks and wakes_scheduled()
+  // unchanged. Otherwise the wake is queued (ScheduleWake) and false is
+  // returned. Off with the fast path (SetWakeFastPathForTesting(false),
+  // chooser mode). Slack mode queues the wake and lets the window engines
+  // decide (TryConsumeSlackBatch, TryConsumeWorker).
   //
   // The chain cap: symmetric transfer is only a guaranteed tail call under
   // optimization — ASan/-O0 builds grow one host stack frame group per hop.
-  // Every kMaxInlineChain consecutive inline wakes the transfer yields back
-  // to Run() (which resets the counter), bounding host stack depth in any
-  // build while keeping >95% of eligible wakes inline.
-  bool TryConsumeSlot(SimThread& t) {
-    if (t.in_worker_window_) {
-      return TryConsumeWorker(t);
-    }
-    if (slack_cycles_ != 0) {
-      return TryConsumeSlackBatch(t);
-    }
-    if (!has_next_ || next_.thread != &t || t.abort_requested_ ||
-        inline_chain_ >= kMaxInlineChain) {
-      return false;
-    }
-    has_next_ = false;
-    ++inline_chain_;
-    ++inline_wakes_;
-    t.core_->AdvanceTo(next_.cycle);
-    return true;
-  }
+  // Every kMaxInlineChain consecutive inline continuations the thread yields
+  // back to Run() (which resets the counter), bounding host stack depth in
+  // any build while keeping >95% of eligible wakes inline.
+  bool ContinueOrWake(SimThread& t);
 
-  // Slack-mode analog of the slot consumption above: the window owner may
+  // Slack-mode analog of the direct continuation above: the window owner may
   // consume its own just-scheduled wake without returning to the loop iff
   // the wake provably precedes every other thread's next event. The
   // comparison is against the horizon CACHED at window open — sound only
@@ -617,6 +604,9 @@ class Scheduler {
     }
   }
 
+  // Processes `op` at `t`'s clock and charges its latency. The completion
+  // wake at the resulting clock is the caller's: ContinueOrWake at a
+  // suspension point, ScheduleWake from the event loop and worker windows.
   void ProcessAccess(SimThread& t, const SimThread::PendingOp& op);
   void DoControlAbort(SimThread& t);
   void ResumeThread(SimThread& t);
@@ -640,9 +630,9 @@ class Scheduler {
   // below the epoch horizon, subject to the wave protocol and the footprint
   // license, until the window ends (clean, trapped, synced, or parked).
   void RunWindow(ExecWindow& w);
-  // Worker-side analog of TryConsumeSlot: consume this thread's parked wake
-  // inside its window. Announces the wave low-water mark and orders the
-  // consume against every co-window before committing to it.
+  // Worker-side analog of TryConsumeSlackBatch: consume this thread's
+  // parked wake inside its window. Announces the wave low-water mark and
+  // orders the consume against every co-window before committing to it.
   bool TryConsumeWorker(SimThread& t);
   // Worker-side analog of ProcessAccess; returns false (with ZERO simulated
   // side effects) when the access cannot be proven core-confined, in which
@@ -676,9 +666,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   EventHeap events_;
-  // Next-event slot: the common wake (the thread just woken re-scheduling
-  // itself ahead of every queued event) parks here and bypasses the heap
-  // entirely. Invariant: when occupied, `next_` precedes events_.top() in
+  // Next-event slot: a queued wake that precedes every queued event (e.g. a
+  // completion scheduled from the event loop, a sync-primitive wake, a wake
+  // with an abort pending) parks here and bypasses the heap entirely. Invariant: when occupied, `next_` precedes events_.top() in
   // (cycle, seq) order, so Run() may always consume the slot first.
   SchedEvent next_;
   bool has_next_ = false;

@@ -2,6 +2,7 @@
 #include "src/tm/tiny_stm.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "src/tm/tx_observe.h"
 
@@ -135,6 +136,9 @@ TinyStm::TinyStm(asf::Machine& machine, const TinyStmParams& params)
     pp.seed_stride = 0x517B;
     policy_ = MakeExpBackoffPolicy(pp);
   }
+  static_assert(std::is_trivially_default_constructible_v<Orec> &&
+                std::is_trivially_default_constructible_v<ReadEntry> &&
+                std::is_trivially_default_constructible_v<WriteEntry>);
   asfcommon::SimArena& arena = machine.arena();
   arena_base_ = arena.base();
   orec_count_ = uint64_t{1} << params.orec_count_log2;

@@ -39,8 +39,8 @@ struct TinyStmParams {
   uint32_t orec_count_log2 = 20;  // 2^20 orecs (8 MiB), as TinySTM defaults.
   // Capacity of the arena-backed per-thread read/write logs, in entries.
   // The defaults hold the paper's workloads with wide margin; the litmus
-  // explorer shrinks them (with the orec table) so a machine-per-
-  // interleaving search does not spend its host time zero-filling logs.
+  // explorer shrinks them (with the orec table) to fit one small machine
+  // per enumerated interleaving.
   uint64_t max_read_set = 1ull << 18;
   uint64_t max_write_set = 1ull << 16;
   // Modeled instruction counts for the software paths (pure ALU work; the
@@ -80,9 +80,12 @@ class TinyStm : public TmRuntime {
   };
 
   // Orec encoding: LSB set -> locked, owner id in the upper bits;
-  // LSB clear -> unlocked, version in the upper bits.
+  // LSB clear -> unlocked, version in the upper bits. No member initializer:
+  // the orec table and the logs below must stay trivially default-
+  // constructible, so SimArena::NewArray hands them out as fresh zero
+  // memory without writing a page (unlocked, version 0).
   struct Orec {
-    uint64_t word = 0;
+    uint64_t word;
   };
   static bool Locked(uint64_t w) { return (w & 1) != 0; }
   static uint64_t OwnerOf(uint64_t w) { return w >> 1; }

@@ -14,11 +14,13 @@
 #ifndef SRC_TM_TM_API_H_
 #define SRC_TM_TM_API_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "src/common/defs.h"
 #include "src/sim/scheduler.h"
@@ -69,13 +71,34 @@ class Tx {
   virtual asfsim::Task<void> UserAbort() = 0;
 
   // --- Typed convenience wrappers -----------------------------------------
+  // These add no coroutine frame of their own: Read returns an awaiter over
+  // the virtual barrier's Task, Write and Release return that Task itself.
+  // The barrier frame is owned by the awaited temporary, which lives in the
+  // awaiting coroutine's frame, so an abort unwind that destroys the
+  // awaiting frame mid-barrier destroys the barrier frame with it.
   template <typename T>
-  asfsim::Task<T> Read(const T* p) {
+  class ReadAwaiter {
+   public:
+    explicit ReadAwaiter(asfsim::Task<uint64_t> barrier) : barrier_(std::move(barrier)) {}
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiting) noexcept {
+      barrier_.SetContinuation(awaiting);
+      return barrier_.handle();
+    }
+    T await_resume() noexcept {
+      T out;
+      std::memcpy(&out, &barrier_.handle().promise().value, sizeof(T));
+      return out;
+    }
+
+   private:
+    asfsim::Task<uint64_t> barrier_;
+  };
+
+  template <typename T>
+  ReadAwaiter<T> Read(const T* p) {
     static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
-    uint64_t raw = co_await ReadBarrier(reinterpret_cast<uint64_t>(p), sizeof(T));
-    T out;
-    std::memcpy(&out, &raw, sizeof(T));
-    co_return out;
+    return ReadAwaiter<T>(ReadBarrier(reinterpret_cast<uint64_t>(p), sizeof(T)));
   }
 
   template <typename T>
@@ -83,12 +106,12 @@ class Tx {
     static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
     uint64_t raw = 0;
     std::memcpy(&raw, &v, sizeof(T));
-    co_await WriteBarrier(reinterpret_cast<uint64_t>(p), sizeof(T), raw);
+    return WriteBarrier(reinterpret_cast<uint64_t>(p), sizeof(T), raw);
   }
 
   template <typename T>
   asfsim::Task<void> Release(const T* p) {
-    co_await ReleaseBarrier(reinterpret_cast<uint64_t>(p), sizeof(T));
+    return ReleaseBarrier(reinterpret_cast<uint64_t>(p), sizeof(T));
   }
 
   template <typename T>

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <type_traits>
 
 #include "src/common/abort_cause.h"
 #include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/common/table.h"
+#include "tests/resident_bytes.h"
 
 namespace asfcommon {
 namespace {
@@ -118,6 +120,43 @@ TEST(SimArena, NewArrayZeroInitializes) {
   auto* xs = arena.NewArray<uint64_t>(128);
   for (int i = 0; i < 128; ++i) {
     EXPECT_EQ(xs[i], 0u);
+  }
+}
+
+// The fresh-memory rule: a trivially default-constructible array is handed
+// out without writing a byte, so its pages stay unpopulated, yet it reads as
+// value-initialized (zero) because the mapping is fresh.
+TEST(SimArena, NewArrayOfTrivialTypeWritesNoPages) {
+  struct Entry {
+    uint64_t word;
+    uint32_t size;
+    const void* ptr;
+  };
+  static_assert(std::is_trivially_default_constructible_v<Entry>);
+  SimArena arena(32ull << 20);
+  constexpr uint64_t kCount = (8ull << 20) / sizeof(Entry);
+  Entry* xs = arena.NewArray<Entry>(kCount);
+  EXPECT_EQ(asftest::ResidentBytes(xs, kCount * sizeof(Entry)), 0u);
+  for (uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(xs[i].word, 0u) << i;
+    ASSERT_EQ(xs[i].size, 0u) << i;
+    ASSERT_EQ(xs[i].ptr, nullptr) << i;
+  }
+}
+
+TEST(SimArena, NewArrayConstructsNonTrivialTypes) {
+  struct Slot {
+    uint64_t key = ~0ull;
+    uint32_t hits = 7;
+  };
+  static_assert(!std::is_trivially_default_constructible_v<Slot>);
+  SimArena arena(1 << 20);
+  constexpr uint64_t kCount = 1000;
+  Slot* xs = arena.NewArray<Slot>(kCount);
+  EXPECT_GT(asftest::ResidentBytes(xs, kCount * sizeof(Slot)), 0u);
+  for (uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(xs[i].key, ~0ull) << i;
+    ASSERT_EQ(xs[i].hits, 7u) << i;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +178,70 @@ TEST(FlatSetTest, RandomizedAgainstReferenceModel) {
         break;
     }
     ASSERT_EQ(set.size(), ref.size()) << "op " << op;
+  }
+}
+
+// A set grown large and then cleared holds few keys per round afterwards —
+// an ASF context's read-set lines after one big region. Clear() and
+// ForEach() then work from the insert log instead of the whole table; they
+// must behave exactly like the full scans. The twin reaches the same empty
+// table of the same capacity by erasing key by key, which leaves its log
+// abandoned, so it always takes the full-scan paths: the two must visit the
+// same keys in the same (slot) order every round.
+TEST(FlatSetTest, SparseClearAndForEachMatchFullScan) {
+  asfcommon::FlatSet64 set(8);
+  asfcommon::FlatSet64 twin(8);
+  constexpr uint64_t kGrowKeys = 5000;  // Grows both tables to 8192 slots.
+  for (uint64_t k = 1; k <= kGrowKeys; ++k) {
+    set.Insert(k << 40);
+    twin.Insert(k << 40);
+  }
+  set.Clear();
+  for (uint64_t k = 1; k <= kGrowKeys; ++k) {
+    ASSERT_TRUE(twin.Erase(k << 40));
+  }
+  // Keys whose home slots (Fibonacci hash, 8192 slots) crowd the last and
+  // first few slots: long probe chains that wrap around the table end.
+  std::vector<uint64_t> universe;
+  for (uint64_t k = 1; universe.size() < 48; ++k) {
+    const uint64_t home = (k * asfcommon::flat_internal::kFibMul) >> 51;
+    if (home >= 8188 || home < 4) {
+      universe.push_back(k);
+    }
+  }
+  std::unordered_set<uint64_t> ref;
+  uint64_t rng = 7;
+  for (int round = 0; round < 400; ++round) {
+    const uint64_t ops = 1 + Next(&rng) % 40;
+    for (uint64_t i = 0; i < ops; ++i) {
+      const uint64_t key = universe[Next(&rng) % universe.size()];
+      if (Next(&rng) % 4 != 0) {
+        const bool inserted = ref.insert(key).second;
+        ASSERT_EQ(set.Insert(key), inserted);
+        ASSERT_EQ(twin.Insert(key), inserted);
+      } else {
+        const bool erased = ref.erase(key) != 0;
+        ASSERT_EQ(set.Erase(key), erased);
+        ASSERT_EQ(twin.Erase(key), erased);
+      }
+    }
+    std::vector<uint64_t> sparse;
+    std::vector<uint64_t> full;
+    set.ForEach([&](uint64_t key) { sparse.push_back(key); });
+    twin.ForEach([&](uint64_t key) { full.push_back(key); });
+    ASSERT_EQ(sparse, full) << "round " << round;
+    ASSERT_EQ(sparse.size(), ref.size()) << "round " << round;
+    if (round % 3 == 0) {
+      set.Clear();
+      for (uint64_t key : ref) {
+        ASSERT_TRUE(twin.Erase(key));
+      }
+      ref.clear();
+      ASSERT_TRUE(set.empty());
+      for (uint64_t key : universe) {
+        ASSERT_FALSE(set.Contains(key)) << "round " << round;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // remote abort, destructor unwinding), sync primitives, timer interrupts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -463,6 +464,105 @@ TEST(Scheduler, WakeFastPathPreservesEventOrder) {
   EXPECT_EQ(slow_trace, fast_trace);
   EXPECT_EQ(slow_fast_wakes, 0u);
   EXPECT_GT(fast_fast_wakes, 0u);
+}
+
+// Work-heavy threads: WorkInstructions before every access (zero, counts in
+// and beyond the core's work table), data-carrying operations, a mutex that
+// hands wakes across threads, sleeps, and scopes that self-abort. The direct
+// dispatch decision at the suspension points must reproduce the heap-only
+// run exactly: the same event order, the same final memory, the same number
+// of scheduled wakes (so sequence tie-breaks line up).
+TEST(Scheduler, DirectDispatchMatchesHeapPathUnderWork) {
+  constexpr uint32_t kThreads = 4;
+  std::vector<uint64_t> cells(64);
+  const uint64_t abort_addr = reinterpret_cast<uint64_t>(&cells[63]);
+  struct Run {
+    std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> trace;
+    std::vector<uint64_t> cells;
+    std::vector<AbortCause> causes;
+    uint64_t wakes = 0;
+    uint64_t fast_wakes = 0;
+    uint64_t inline_wakes = 0;
+    uint64_t max_cycle = 0;
+  };
+  auto run_once = [&](bool fast_path) {
+    std::fill(cells.begin(), cells.end(), 0);
+    Scheduler::SetWakeFastPathForTesting(fast_path);
+    Scheduler sched(kThreads, NoTimerParams());
+    Scheduler::SetWakeFastPathForTesting(true);  // Restore the default.
+    RecordingHandler handler(3);
+    handler.SetSelfAbortAddr(abort_addr);
+    sched.SetAccessHandler(&handler);
+    SimMutex mu;
+    Run out;
+    std::vector<SimThread*> threads(kThreads);
+    auto doomed = [&](SimThread& t) -> Task<void> {
+      t.core().WorkInstructions(20);
+      co_await t.Access(AccessKind::kTxLoad, &cells[48 + t.id()], 8);
+      co_await t.Access(AccessKind::kTxLoad, &cells[63], 8);  // Self-aborts.
+      co_await t.Access(AccessKind::kTxLoad, &cells[56], 8);  // Never issued.
+    };
+    auto body = [&](uint32_t id) -> Task<void> {
+      SimThread& t = *threads[id];
+      constexpr uint64_t kWork[] = {0, 1, 7, 90, 255, 256, 700};
+      for (uint64_t i = 0; i < 40; ++i) {
+        t.core().WorkInstructions(kWork[(id * 3 + i) % 7]);
+        uint64_t* cell = &cells[(id * 8 + i) % 32];
+        switch (i % 5) {
+          case 0:
+            co_await t.Access(AccessKind::kLoad, cell, 8);
+            break;
+          case 1:
+            co_await t.Store(AccessKind::kStore, cell, 8, i);
+            break;
+          case 2:
+            cells[32 + id] += co_await t.Load(AccessKind::kLoad, cell, 8);
+            break;
+          case 3:
+            co_await t.FetchAdd(cell, 8, 1);
+            break;
+          default:
+            co_await mu.Acquire(t);
+            t.core().WorkInstructions(30);
+            co_await t.Store(AccessKind::kStore, &cells[40], 8, cells[40] + 1);
+            mu.Release(t);
+            break;
+        }
+        if (i % 9 == 0) {
+          co_await t.Sleep(5 + id);
+        }
+        if (i % 13 == 0) {
+          out.causes.push_back(co_await t.RunAbortable(doomed(t)));
+        }
+      }
+    };
+    for (uint32_t i = 0; i < kThreads; ++i) {
+      threads[i] = &sched.Spawn(body(i));
+    }
+    sched.Run();
+    for (const auto& e : handler.log) {
+      out.trace.emplace_back(e.core, e.addr, e.cycle);
+    }
+    out.cells = cells;
+    out.wakes = sched.wakes_scheduled();
+    out.fast_wakes = sched.fast_wakes();
+    out.inline_wakes = sched.inline_wakes();
+    out.max_cycle = sched.MaxCycle();
+    return out;
+  };
+  const Run slow = run_once(false);
+  const Run fast = run_once(true);
+  EXPECT_EQ(slow.trace, fast.trace);
+  EXPECT_EQ(slow.cells, fast.cells);
+  EXPECT_EQ(slow.causes, fast.causes);
+  EXPECT_EQ(slow.wakes, fast.wakes);
+  EXPECT_EQ(slow.max_cycle, fast.max_cycle);
+  EXPECT_EQ(fast.causes.size(), kThreads * 4u);
+  EXPECT_EQ(fast.cells[40], kThreads * 8u);
+  EXPECT_EQ(slow.fast_wakes, 0u);
+  EXPECT_EQ(slow.inline_wakes, 0u);
+  EXPECT_GT(fast.inline_wakes, 0u);
+  EXPECT_GE(fast.fast_wakes, fast.inline_wakes);
 }
 
 }  // namespace

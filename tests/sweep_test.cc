@@ -168,6 +168,18 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
     }
   }
 
+  // Work-heavy variants: extra per-barrier instructions put a work flush in
+  // front of every barrier access (counts in and beyond the core's work
+  // table), under the hardware path and the STM.
+  for (int extra : {200, 300}) {
+    for (harness::RuntimeKind rt : {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kTinyStm}) {
+      harness::IntsetConfig cfg = SmallConfig("rb", 4, 12);
+      cfg.runtime = rt;
+      cfg.barrier_instructions = extra;
+      grid.push_back(cfg);
+    }
+  }
+
   std::vector<harness::IntsetResult> fast;
   std::vector<harness::IntsetResult> slow;
   for (const auto& cfg : grid) {
@@ -183,6 +195,9 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
 
   for (size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(Digest(fast[i]), Digest(slow[i])) << "config " << i;
+    // Direct continuations count as scheduled wakes, so sequence numbers
+    // (the cycle tie-breaks) advance identically on both paths.
+    EXPECT_EQ(fast[i].host.wakes, slow[i].host.wakes) << "config " << i;
     // The telemetry proves the fast paths actually engaged (and actually
     // disengaged under the test toggles).
     EXPECT_GT(fast[i].host.fast_wakes, 0u) << "config " << i;

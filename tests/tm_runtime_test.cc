@@ -7,19 +7,24 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/frame_pool.h"
 #include "src/common/random.h"
 #include "src/tm/asf_tm.h"
 #include "src/tm/serial_tm.h"
 #include "src/tm/tiny_stm.h"
+#include "tests/resident_bytes.h"
 #include "tests/tm_test_util.h"
 
 namespace asftm {
 namespace {
 
 using asfcommon::AbortCause;
+using asfcommon::FramePool;
+using asfsim::AccessKind;
 using asfsim::SimThread;
 using asfsim::Task;
 using asftest::Pretouch;
+using asftest::ResidentBytes;
 using asftest::QuietParams;
 using asftest::RunWorkers;
 
@@ -399,6 +404,186 @@ TEST(TmDeterminism, IdenticalRunsIdenticalCycles) {
     return m.scheduler().MaxCycle();
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Fresh arena memory for the STM metadata ---------------------------------
+
+// TinySTM's orec table, read sets and write sets come from fresh arena
+// memory: constructing the runtime populates (almost) none of their pages —
+// the one written object is the global clock, one line, at most one huge
+// page — and all of it reads as zero (unlocked orecs, empty logs).
+TEST(TinyStm, ConstructionLeavesMetadataFreshAndZeroed) {
+  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 8));
+  const uint64_t before = m.arena().used();
+  TinyStm rt(m);
+  const uint64_t after = m.arena().used();
+  const auto* first = reinterpret_cast<const uint8_t*>(m.arena().base() + before);
+  const uint64_t bytes = after - before;
+  // The default sizing: 2^20 orecs plus 8 threads' read and write logs.
+  ASSERT_GT(bytes, 64ull << 20);
+  EXPECT_LE(ResidentBytes(first, bytes), 2ull << 20);
+  const auto* words = reinterpret_cast<const uint64_t*>(first);
+  for (uint64_t i = 0; i < bytes / sizeof(uint64_t); ++i) {
+    ASSERT_EQ(words[i], 0u) << "byte offset " << i * sizeof(uint64_t);
+  }
+}
+
+// --- Typed barriers: aborts while suspended inside an awaiter ---------------
+
+// Counts live barrier frames, to prove an unwind destroys them.
+struct LiveFrame {
+  explicit LiveFrame(int* live) : live_(live) { ++*live_; }
+  ~LiveFrame() { --*live_; }
+  LiveFrame(const LiveFrame&) = delete;
+  LiveFrame& operator=(const LiveFrame&) = delete;
+  int* live_;
+};
+
+// Barriers that are one timed access each: a region suspends inside a typed
+// Read/Write awaiter exactly at that access.
+class AccessTx : public Tx {
+ public:
+  AccessTx(SimThread& t, int* live) : Tx(t), live_(live) {}
+  Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
+    LiveFrame frame(live_);
+    co_return co_await thread().Load(AccessKind::kTxLoad, addr, size);
+  }
+  Task<void> WriteBarrier(uint64_t addr, uint32_t size, uint64_t value) override {
+    LiveFrame frame(live_);
+    co_await thread().Store(AccessKind::kTxStore, addr, size, value);
+  }
+  Task<void*> TxMalloc(uint64_t) override { co_return nullptr; }
+  Task<void> TxFree(void*) override { co_return; }
+  Task<void> UserAbort() override { co_return; }
+
+ private:
+  int* live_;
+};
+
+// Aborts the issuing region on a chosen address (self-abort), and aborts a
+// chosen victim's region when any thread touches a trigger address.
+class AbortingHandler : public asfsim::AccessHandler {
+ public:
+  asfsim::AccessOutcome OnAccess(SimThread& thread, AccessKind, uint64_t addr,
+                                 uint32_t) override {
+    if (addr == self_abort_addr) {
+      thread.MarkAbort(AbortCause::kExplicitAbort);
+      return {kLatency, true};
+    }
+    if (addr == trigger_addr && victim != nullptr && victim->InAbortableScope()) {
+      victim->MarkAbort(AbortCause::kContention);
+    }
+    return {kLatency, false};
+  }
+  static constexpr uint64_t kLatency = 100;
+  uint64_t self_abort_addr = ~0ull;
+  uint64_t trigger_addr = ~0ull;
+  SimThread* victim = nullptr;
+};
+
+TEST(TypedBarriers, AbortInsideTypedAwaiterDestroysEveryFrame) {
+  const FramePool::Stats before = FramePool::ForThread().stats();
+  int live = 0;
+  uint64_t cells[8] = {};
+  std::vector<AbortCause> causes;
+  uint64_t completed = 0;
+  {
+    asfsim::CoreParams params;
+    params.timer_enabled = false;
+    asfsim::Scheduler sched(2, params);
+    AbortingHandler handler;
+    handler.self_abort_addr = reinterpret_cast<uint64_t>(&cells[1]);
+    handler.trigger_addr = reinterpret_cast<uint64_t>(&cells[7]);
+    sched.SetAccessHandler(&handler);
+    // Region bodies, one per way to die inside a typed awaiter.
+    auto self_abort_in_read = [&](SimThread& t) -> Task<void> {
+      AccessTx tx(t, &live);
+      cells[2] = co_await tx.Read(&cells[0]);
+      cells[2] += co_await tx.Read(&cells[1]);  // Self-aborts in the barrier.
+      ++completed;
+    };
+    auto self_abort_in_write = [&](SimThread& t) -> Task<void> {
+      AccessTx tx(t, &live);
+      co_await tx.Write(&cells[1], uint64_t{9});  // Self-aborts in the barrier.
+      ++completed;
+    };
+    auto remote_abort_in_read = [&](SimThread& t) -> Task<void> {
+      AccessTx tx(t, &live);
+      // Suspended here for kLatency cycles while thread 1 hits the trigger.
+      cells[3] = co_await tx.Read(&cells[4]);
+      ++completed;
+    };
+    auto remote_abort_in_write = [&](SimThread& t) -> Task<void> {
+      AccessTx tx(t, &live);
+      co_await tx.Write(&cells[5], uint64_t{6});
+      ++completed;
+    };
+    auto commits = [&](SimThread& t) -> Task<void> {
+      AccessTx tx(t, &live);
+      const uint64_t v = co_await tx.Read(&cells[0]);
+      co_await tx.Write(&cells[6], v + 1);
+      ++completed;
+    };
+    SimThread* t0 = nullptr;
+    auto victim = [&]() -> Task<void> {
+      SimThread& t = *t0;
+      causes.push_back(co_await t.RunAbortable(self_abort_in_read(t)));
+      causes.push_back(co_await t.RunAbortable(self_abort_in_write(t)));
+      causes.push_back(co_await t.RunAbortable(remote_abort_in_read(t)));
+      causes.push_back(co_await t.RunAbortable(remote_abort_in_write(t)));
+      causes.push_back(co_await t.RunAbortable(commits(t)));
+    };
+    SimThread* t1 = nullptr;
+    auto aggressor = [&]() -> Task<void> {
+      SimThread& t = *t1;
+      // Thread 0's remote-abort regions issue their barrier access at
+      // cycles 300 and 400 (three accesses of kLatency each before them)
+      // and stay suspended for kLatency; hit the trigger inside each window.
+      t.core().WorkCycles(350);
+      co_await t.Access(AccessKind::kStore, &cells[7], 8);
+      t.core().WorkCycles(10);
+      co_await t.Access(AccessKind::kStore, &cells[7], 8);
+    };
+    t0 = &sched.Spawn(victim());
+    t1 = &sched.Spawn(aggressor());
+    handler.victim = t0;
+    sched.Run();
+  }
+  EXPECT_EQ(causes, (std::vector<AbortCause>{AbortCause::kExplicitAbort,
+                                             AbortCause::kExplicitAbort,
+                                             AbortCause::kContention, AbortCause::kContention,
+                                             AbortCause::kNone}));
+  EXPECT_EQ(completed, 1u);
+  EXPECT_EQ(cells[6], 1u);
+  EXPECT_EQ(cells[1], 0u);  // The aborted store never applied.
+  EXPECT_EQ(live, 0);
+  const FramePool::Stats after = FramePool::ForThread().stats();
+  EXPECT_GT(after.allocs, before.allocs);
+  EXPECT_EQ(after.allocs - before.allocs, after.frees - before.frees);
+}
+
+// The same balance under real runtimes whose contended barriers abort
+// mid-flight: every frame allocated by a run is freed by the time its
+// machine is gone.
+TEST(TypedBarriers, ContendedRuntimesBalanceFrameAllocations) {
+  for (int runtime = 0; runtime < 2; ++runtime) {
+    const FramePool::Stats before = FramePool::ForThread().stats();
+    uint64_t aborts = 0;
+    {
+      asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 4));
+      std::unique_ptr<TmRuntime> rt;
+      if (runtime == 0) {
+        rt = std::make_unique<AsfTm>(m);
+      } else {
+        rt = std::make_unique<TinyStm>(m);
+      }
+      CounterTest(*rt, m, 4, 100);
+      aborts = rt->TotalStats().TotalAborts();
+    }
+    EXPECT_GT(aborts, 0u) << runtime;
+    const FramePool::Stats after = FramePool::ForThread().stats();
+    EXPECT_EQ(after.allocs - before.allocs, after.frees - before.frees) << runtime;
+  }
 }
 
 }  // namespace
