@@ -13,14 +13,14 @@
 //
 // Design constraints:
 //  * One pool per host thread (`FramePool::ForThread()`), matching the sweep
-//    engine's job model (src/harness/sweep.h): a job's frames mostly live and
-//    die on its worker thread. Each block carries its owning pool in a
-//    16-byte header; a block freed from a different thread (routine under
-//    host-parallel window execution, where a coroutine frame allocated on one
-//    pool worker is destroyed on another or on the coordinator) is adopted
-//    into the freeing thread's own free list — never pushed onto the foreign
-//    list (that would corrupt it) and never silently leaked to the host
-//    allocator on the hot path.
+//    engine's job model (src/harness/sweep.h): a job's frames live and die
+//    on its worker thread, because one Machine is only ever driven by one
+//    host thread. Each block carries its owning pool in a 16-byte header so
+//    that a block freed from a different thread anyway (a coroutine created
+//    on one host thread and destroyed on another) stays safe: it is adopted
+//    into the freeing thread's own free list — never pushed onto the
+//    foreign list (that would corrupt it) and never silently leaked to the
+//    host allocator on the hot path.
 //  * Frames are recycled verbatim, so stale-frame bugs (use-after-destroy of
 //    a coroutine local) would become silent instead of crashing. Under ASan
 //    the pool poisons the payload of every free-listed block and unpoisons on
@@ -107,11 +107,10 @@ class FramePool {
 
   // Frees through the freeing thread's own free list; oversize blocks go
   // back to the host allocator. Safe to call from any thread: a block freed
-  // off its allocating thread (a coroutine frame migrated by host-parallel
-  // window execution, src/sim/scheduler.h) is exclusively owned by the
-  // freeing thread at this point — ownership was handed over through the
-  // worker pool's fork/join barrier — so it is re-tagged and adopted into
-  // the local pool rather than leaked to the host allocator. The old-owner
+  // off its allocating thread is exclusively owned by the freeing thread at
+  // this point — the hand-over between host threads (e.g. a thread join)
+  // ordered it — so it is re-tagged and adopted into the local pool rather
+  // than leaked to the host allocator. The old-owner
   // pointer is only *compared*, never dereferenced, so a pool that died with
   // its thread cannot be touched.
   static void Free(void* p) {

@@ -7,6 +7,8 @@
 // guard trips if two host threads ever enter one simulator.
 #include "src/harness/sweep.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <string>
 #include <vector>
@@ -75,6 +77,26 @@ TEST(ParallelForTest, ZeroItemsIsANoop) {
 
 TEST(SweepRunnerTest, DefaultJobsIsAtLeastOne) {
   EXPECT_GE(harness::DefaultJobs(), 1u);
+  // "Auto" means the CPUs this process may run on, not the CPUs online: a
+  // taskset/cgroup-pinned process must not start more workers than it has.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(harness::DefaultJobs(), static_cast<uint32_t>(CPU_COUNT(&set)));
+  // Narrow this thread to one CPU of its mask, as taskset would, so an
+  // unpinned host with several CPUs also tells the two counts apart.
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const uint32_t pinned = harness::DefaultJobs();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(pinned, 1u);
   EXPECT_EQ(harness::SweepRunner(0).jobs(), harness::DefaultJobs());
   EXPECT_EQ(harness::SweepRunner(3).jobs(), 3u);
 }
@@ -158,7 +180,9 @@ TEST(SweepRunnerTest, GenericSubmitRunsEveryJob) {
 // experiment run with the scheduler's next-event slot and the memory
 // system's line/page memoization disabled must produce byte-identical
 // results to the default (enabled) run — the fast paths are pure host
-// optimizations with zero simulated effect.
+// optimizations with zero simulated effect. Latency histograms and hot-line
+// heatmaps are collected for every run and must match too, so the gate
+// covers the observer order as well as the headline counters.
 TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
   const char* structures[] = {"list", "rb", "hash"};
   std::vector<harness::IntsetConfig> grid;
@@ -180,6 +204,29 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
     }
   }
 
+  // Every runtime on every hardware variant, on a small contended tree.
+  for (harness::RuntimeKind rt :
+       {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kTinyStm,
+        harness::RuntimeKind::kSequential, harness::RuntimeKind::kGlobalLock,
+        harness::RuntimeKind::kPhasedTm, harness::RuntimeKind::kLockElision}) {
+    for (const asf::AsfVariant& v : {asf::AsfVariant::Llb8(), asf::AsfVariant::Llb256(),
+                                     asf::AsfVariant::Llb8WithL1(),
+                                     asf::AsfVariant::Asf1Llb256()}) {
+      // The uninstrumented sequential runtime is single-thread only.
+      harness::IntsetConfig cfg =
+          SmallConfig("rb", rt == harness::RuntimeKind::kSequential ? 1 : 4, 13);
+      cfg.key_range = 512;
+      cfg.update_pct = 40;
+      cfg.ops_per_thread = 120;
+      cfg.runtime = rt;
+      cfg.variant = v;
+      grid.push_back(cfg);
+    }
+  }
+  for (harness::IntsetConfig& cfg : grid) {
+    cfg.collect_latency = true;
+  }
+
   std::vector<harness::IntsetResult> fast;
   std::vector<harness::IntsetResult> slow;
   for (const auto& cfg : grid) {
@@ -195,6 +242,10 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
 
   for (size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(Digest(fast[i]), Digest(slow[i])) << "config " << i;
+    EXPECT_EQ(fast[i].breakdown.cycles, slow[i].breakdown.cycles) << "config " << i;
+    EXPECT_EQ(fast[i].asf.aborts, slow[i].asf.aborts) << "config " << i;
+    EXPECT_TRUE(fast[i].latency == slow[i].latency) << "config " << i;
+    EXPECT_TRUE(fast[i].heatmap == slow[i].heatmap) << "config " << i;
     // Direct continuations count as scheduled wakes, so sequence numbers
     // (the cycle tie-breaks) advance identically on both paths.
     EXPECT_EQ(fast[i].host.wakes, slow[i].host.wakes) << "config " << i;

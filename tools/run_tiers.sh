@@ -4,15 +4,15 @@
 #
 #   default   cmake -B build            + full ctest
 #   asan      cmake -B build-san  -DASF_SANITIZE=address + full ctest
-#   tsan      cmake -B build-tsan -DASF_SANITIZE=thread  + ctest -L slack
+#   tsan      cmake -B build-tsan -DASF_SANITIZE=thread  + ctest -L host_parallel
 #
-# The TSan tier runs only the `slack` label on purpose: host-parallel
-# planning (slack_par) and execution (slack_exec) are the only subsystems
-# with real cross-thread host concurrency, and the full grid under TSan's
-# ~10x slowdown would dominate the wall clock without adding coverage. Both
-# parallel tiers fold into `-L slack`, so this one invocation covers the
-# worker pools, the wave protocol, and the fork/join epochs under the race
-# detector.
+# The TSan tier runs only the `host_parallel` label on purpose. The
+# simulator itself is single-host-threaded; the only code that runs on
+# several host threads is the sweep engine (ParallelFor/SweepRunner, one
+# Machine per job; tests/sweep_test.cc) and the per-thread coroutine frame
+# pool with its cross-thread free path (tests/frame_pool_test.cc). The full
+# grid under TSan's ~10x slowdown would dominate the wall clock without
+# adding coverage of any other cross-thread code.
 #
 # Usage: tools/run_tiers.sh [--quick] [--jobs N] [tier...]
 #   --quick    skip tiers whose build directory does not exist yet
@@ -62,7 +62,7 @@ tier_cmake_args() {
 }
 tier_ctest_args() {
   case "$1" in
-    tsan) echo "-L slack" ;;
+    tsan) echo "-L host_parallel" ;;
     *) echo "" ;;
   esac
 }
