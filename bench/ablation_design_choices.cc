@@ -77,7 +77,7 @@ ElisionCell RunElisionCell(bool elide, uint64_t ops) {
   ElisionCell cell;
   cell.ops_per_us = static_cast<double>(8 * ops) * 2200.0 /
                     static_cast<double>(m.scheduler().MaxCycle());
-  cell.real_acquisitions = lock.real_acquisitions();
+  cell.real_acquisitions = lock.TotalStats().serial_attempts;
   return cell;
 }
 

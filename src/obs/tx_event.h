@@ -59,7 +59,7 @@ struct TxEvent {
   // TxAbort: why the attempt died.
   asfcommon::AbortCause cause = asfcommon::AbortCause::kNone;
   // Core-local attempt-accounting id (asfsim::Core::attempt_seq()); 0 when
-  // the attempt is not attempt-accounted (serial mode, lock elision). Links
+  // the attempt is not attempt-accounted (serial mode, the real lock). Links
   // lifecycle events to the cycle spans charged into the same attempt, which
   // is what lets offline analysis reclassify aborted work as waste.
   uint64_t attempt = 0;

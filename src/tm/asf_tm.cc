@@ -149,17 +149,19 @@ class AsfSerialTx : public Tx {
 };
 
 AsfTm::AsfTm(asf::Machine& machine, const AsfTmParams& params)
-    : machine_(machine), params_(params), policy_(params.policy) {
-  if (policy_ == nullptr) {
-    ExpBackoffParams pp;
-    pp.base_cycles = params.backoff_base_cycles;
-    pp.shift_cap = params.backoff_shift_cap;
-    pp.max_retries = params.max_contention_retries;
-    pp.capacity_serializes = params.capacity_goes_serial;
-    pp.seed = params.rng_seed;
-    policy_ = MakeExpBackoffPolicy(pp);
-  }
-  serial_lock_ = machine.arena().New<SerialLock>();
+    : machine_(machine),
+      params_(params),
+      serial_lock_(machine.arena().New<SerialLock>()),
+      loop_(machine, {.policy = params.policy,
+                      .default_policy = {.base_cycles = params.backoff_base_cycles,
+                                         .shift_cap = params.backoff_shift_cap,
+                                         .max_retries = params.max_contention_retries,
+                                         .capacity_serializes = params.capacity_goes_serial,
+                                         .seed = params.rng_seed},
+                      .monitored_word = &serial_lock_->word,
+                      .begin_instructions = params.begin_instructions,
+                      .commit_instructions = params.commit_instructions,
+                      .wait = [this](SimThread& t) { return AwaitSerialFree(t); }}) {
   const uint32_t n = machine.scheduler().num_cores();
   threads_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -177,34 +179,16 @@ std::string AsfTm::name() const {
   return "ASF-TM (" + machine_.params().variant.Name() + ")";
 }
 
-Task<void> AsfTm::HwAttempt(SimThread& t, PerThread& pt, const BodyFn& body) {
-  Core& core = t.core();
-  pt.alloc.OnAttemptStart();
-  {
-    CategoryGuard g(core, CycleCategory::kTxStartCommit);
-    core.WorkInstructions(params_.begin_instructions);
-    co_await t.Access(AccessKind::kSpeculate, uint64_t{0}, 1);
-    // Monitor the serial lock: a serializing thread's store will abort us.
-    co_await t.Access(AccessKind::kTxLoad, &serial_lock_->word, 8);
-    if (serial_lock_->word != 0) {
-      // A serializer raced past our pre-check; step aside and re-wait.
-      co_await machine_.AbortRegion(t, AbortCause::kRestartSerial);
+// Waits for any serializer to drain before speculating (cheap pre-check;
+// the in-region monitor catches races).
+Task<bool> AsfTm::AwaitSerialFree(SimThread& t) {
+  for (;;) {
+    CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
+    co_await t.Access(AccessKind::kLoad, &serial_lock_->word, 8);
+    if (serial_lock_->word == 0) {
+      co_return true;
     }
-  }
-  {
-    CategoryGuard g(core, CycleCategory::kTxAppCode);
-    AsfHwTx tx(*this, t, pt);
-    co_await body(tx);
-  }
-  {
-    CategoryGuard g(core, CycleCategory::kTxStartCommit);
-    core.WorkInstructions(params_.commit_instructions);
-    // COMMIT clears the protected set; snapshot its size for the lifecycle
-    // event the retry loop emits after the attempt returns.
-    asf::AsfContext& ctx = machine_.context(t.id());
-    pt.last_read_lines = ctx.read_set_lines();
-    pt.last_write_lines = ctx.write_set_lines();
-    co_await t.Access(AccessKind::kCommit, uint64_t{0}, 1);
+    co_await t.Sleep(128);
   }
 }
 
@@ -252,84 +236,19 @@ Task<void> AsfTm::RunSerial(SimThread& t, PerThread& pt, const BodyFn& body, uin
   }
 }
 
-Task<void> AsfTm::Backoff(SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry) {
-  pt.stats.backoff_cycles += wait;
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffStart, TxMode::kHardware, AbortCause::kNone, 0,
-              retry);
-  co_await t.Sleep(wait);
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffEnd, TxMode::kHardware, AbortCause::kNone, 0,
-              retry, wait);
-}
-
 Task<void> AsfTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
-  Core& core = t.core();
-  ++pt.stats.tx_started;
-  policy_->OnBlockStart(t.id(), site);
-  uint32_t aborted_attempts = 0;  // Lifecycle retry ordinal for this block.
-  bool go_serial = false;
-  for (;;) {
-    if (go_serial) {
-      EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kSerial,
-                  AbortCause::kNone, 0, aborted_attempts,
-                  static_cast<uint64_t>(TxMode::kHardware));
-      co_await RunSerial(t, pt, body, aborted_attempts);
-      co_return;
-    }
-    // Wait for any serializer to drain before speculating (cheap pre-check;
-    // the in-region monitor catches races).
-    for (;;) {
-      CategoryGuard g(core, CycleCategory::kTxStartCommit);
-      co_await t.Access(AccessKind::kLoad, &serial_lock_->word, 8);
-      if (serial_lock_->word == 0) {
-        break;
-      }
-      co_await t.Sleep(128);
-    }
-    ++pt.stats.hw_attempts;
-    core.BeginAttemptAccounting();
-    EmitTxEvent(machine_, t, TxEventKind::kTxBegin, TxMode::kHardware, AbortCause::kNone,
-                core.attempt_seq(), aborted_attempts);
-    AbortCause cause = co_await t.RunAbortable(HwAttempt(t, pt, body));
-    if (cause == AbortCause::kNone) {
-      core.CommitAttemptAccounting();
-      pt.alloc.OnCommit();
-      ++pt.stats.hw_commits;
-      EmitTxEvent(machine_, t, TxEventKind::kTxCommit, TxMode::kHardware, AbortCause::kNone,
-                  core.attempt_seq(), aborted_attempts, pt.last_read_lines, pt.last_write_lines);
-      co_return;
-    }
-    core.AbortAttemptAccounting();
-    ++pt.stats.aborts[static_cast<size_t>(cause)];
-    pt.alloc.OnAbort();
-    EmitTxEvent(machine_, t, TxEventKind::kTxAbort, TxMode::kHardware, cause, core.attempt_seq(),
-                aborted_attempts);
-    ++aborted_attempts;
-    switch (cause) {
-      case AbortCause::kRestartSerial:
-        break;  // Re-wait for the serializer; not a real retry.
-      case AbortCause::kUserAbort:
-        co_return;  // Language-level cancel: no retry.
-      case AbortCause::kMallocRefill: {
-        // Refill nonspeculatively (heap growth = system call), then retry.
-        CategoryGuard g(core, CycleCategory::kTxAbortWaste);
-        co_await t.Access(AccessKind::kSyscall, uint64_t{0}, 1);
-        pt.alloc.Refill(pt.refill_bytes);
-        break;
-      }
-      default: {
-        // Everything else — contention, capacity, transient OS events,
-        // disallowed instructions — is contention management's call.
-        PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
-        if (d.action == PolicyAction::kSerialize) {
-          go_serial = true;
-        } else if (d.action == PolicyAction::kBackoffRetry) {
-          co_await Backoff(t, pt, d.backoff_cycles, aborted_attempts);
-        }
-        break;
-      }
-    }
+  HwAttemptLoop::Block block = loop_.StartBlock(t, pt, site);
+  HwAttemptLoop::AttemptFn hw_body = [&]() -> Task<void> {
+    AsfHwTx tx(*this, t, pt);
+    co_await body(tx);
+  };
+  if (co_await loop_.Run(t, pt, block, hw_body) != HwAttemptLoop::Outcome::kFallback) {
+    co_return;
   }
+  EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kSerial, AbortCause::kNone,
+              0, block.aborted, static_cast<uint64_t>(TxMode::kHardware));
+  co_await RunSerial(t, pt, body, block.aborted);
 }
 
 TxStats AsfTm::TotalStats() const {

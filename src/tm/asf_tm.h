@@ -9,7 +9,10 @@
 //   2. The body runs with LOCK MOV-annotated accesses for shared data only
 //      (selective annotation: stack and runtime-local data stay plain).
 //   3. COMMIT publishes; aborts resume after SPECULATE, which the runtime
-//      surfaces as the retry loop observing the abort cause.
+//      surfaces as the retry loop observing the abort cause. Steps 1-3 and
+//      the retries are the shared hardware-attempt loop
+//      (hw_attempt_loop.h); ASF-TM supplies the serial lock word, its
+//      instruction counts, the wait for a serializer to drain, and step 4.
 //   4. Fallback policy (paper Sec. 3.2): capacity overflows and allocator-
 //      refill aborts switch the transaction to serial-irrevocable mode, as
 //      does exceeding the contention retry budget; contention uses
@@ -30,8 +33,8 @@
 #include "src/asf/machine.h"
 #include "src/sim/sync.h"
 #include "src/tm/contention_policy.h"
+#include "src/tm/hw_attempt_loop.h"
 #include "src/tm/tm_api.h"
-#include "src/tm/tx_allocator.h"
 
 namespace asftm {
 
@@ -85,15 +88,8 @@ class AsfTm : public TmRuntime {
     uint64_t old_value;
   };
 
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-    uint64_t refill_bytes = 0;  // Allocation size that triggered kMallocRefill.
-    // Protected-set sizes captured just before COMMIT (the commit clears the
-    // ASF context), reported in the TxCommit lifecycle event.
-    uint64_t last_read_lines = 0;
-    uint64_t last_write_lines = 0;
+  struct PerThread : HwThread {
+    using HwThread::HwThread;
     // Undo log for serial mode: the serial token serializes all
     // transactions, but language-level cancel (Tx::UserAbort) must still be
     // able to roll the attempt back (GCC libitm's "serial" vs
@@ -105,17 +101,16 @@ class AsfTm : public TmRuntime {
     uint64_t word = 0;
   };
 
-  asfsim::Task<void> HwAttempt(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
+  // The pre-speculation wait: sleeps until no serializer holds the lock.
+  asfsim::Task<bool> AwaitSerialFree(asfsim::SimThread& t);
   asfsim::Task<void> RunSerial(asfsim::SimThread& t, PerThread& pt, const BodyFn& body,
                                uint32_t retry);
   asfsim::Task<void> SerialBody(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
-  // Sleeps the policy-computed wait, with stats + lifecycle events.
-  asfsim::Task<void> Backoff(asfsim::SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry);
 
   asf::Machine& machine_;
   const AsfTmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
   SerialLock* serial_lock_;  // Arena-allocated (deterministic address).
+  HwAttemptLoop loop_;
   asfsim::SimMutex serial_mutex_;
   std::vector<std::unique_ptr<PerThread>> threads_;
 };

@@ -1,24 +1,30 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 // Pluggable contention management for the TM runtimes.
 //
-// Each runtime used to hard-code its own retry/backoff/serialize loop; the
-// paper's policy (Sec. 3.2) — exponential backoff with randomization,
-// capacity and budget exhaustion falling back to serial-irrevocable mode —
-// existed in four slightly different copies. A ContentionPolicy pulls that
-// decision into one object: after every aborted attempt the runtime asks the
-// policy what to do next, and the policy answers with one of three actions.
-// The modeled backoff cycle counts are computed here and nowhere else.
+// A ContentionPolicy is the one place that decides what happens after an
+// aborted attempt: the runtime asks the policy, and the policy answers with
+// one of three actions. The modeled backoff cycle counts are computed here
+// and nowhere else. The paper's policy (Sec. 3.2) — exponential backoff with
+// randomization, capacity and budget exhaustion falling back to
+// serial-irrevocable mode — is the default.
+//
+// Who asks: ASF-TM, PhasedTM and lock elision share one hardware-attempt
+// loop (hw_attempt_loop.h), which calls OnBlockStart/OnAbort and carries out
+// the answer — retry now, or sleep the backoff and retry, or return to the
+// runtime for its fallback. TinySTM asks from its own retry loop.
 //
 // Division of labor: causes that are *mechanism*, not contention management,
-// stay in the runtimes — kRestartSerial (a serializer/phase-flip raced past,
-// re-dispatch), kUserAbort (language-level cancel, no retry), kMallocRefill
-// (refill nonspeculatively, retry). Every other cause is routed here.
+// never reach the policy — kRestartSerial (a serializer/phase-flip/lock
+// acquisition raced past: re-wait), kUserAbort (language-level cancel, no
+// retry), kMallocRefill (refill nonspeculatively, retry). Every other cause
+// is routed here.
 //
-// What kSerialize means is the runtime's strongest fallback: ASF-TM enters
-// serial-irrevocable mode, PhasedTM flips the system to the software phase,
-// lock elision takes the real lock. TinySTM has no fallback and treats
-// kSerialize as an immediate retry (the STM's word-granular conflict
-// detection does not livelock the way requester-wins hardware can).
+// What kSerialize means is the runtime's strongest fallback, which each
+// runtime still supplies itself: ASF-TM enters serial-irrevocable mode,
+// PhasedTM flips the system to the software phase, lock elision takes the
+// real lock. TinySTM has no fallback and treats kSerialize as an immediate
+// retry (the STM's word-granular conflict detection does not livelock the
+// way requester-wins hardware can).
 #ifndef SRC_TM_CONTENTION_POLICY_H_
 #define SRC_TM_CONTENTION_POLICY_H_
 

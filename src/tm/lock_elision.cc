@@ -17,135 +17,85 @@ using asfsim::SimThread;
 using asfsim::Task;
 
 ElidableLock::ElidableLock(asf::Machine& machine, const ElisionParams& params)
-    : machine_(machine), params_(params), policy_(params.policy) {
-  if (policy_ == nullptr) {
-    ExpBackoffParams pp;
-    pp.base_cycles = params.backoff_base_cycles;
-    pp.shift_cap = 6;
-    pp.max_retries = params.max_elision_retries;
-    // An oversized critical section keeps retrying until the budget is
-    // spent, like the historical behavior (capacity does not short-circuit
-    // to the real lock).
-    pp.capacity_serializes = false;
-    pp.seed = params.rng_seed;
-    pp.seed_stride = 0;  // Historically one shared RNG across threads.
-    policy_ = MakeExpBackoffPolicy(pp);
-  }
-  lock_word_ = machine.arena().New<LockWord>();
+    : machine_(machine),
+      params_(params),
+      lock_word_(machine.arena().New<LockWord>()),
+      // An oversized critical section keeps retrying until the budget is
+      // spent (capacity does not short-circuit to the real lock), and one
+      // RNG is shared across threads: the historical behavior. Eliding adds
+      // no software path around the raw ASF instructions.
+      loop_(machine, {.policy = params.policy,
+                      .default_policy = {.base_cycles = params.backoff_base_cycles,
+                                         .shift_cap = 6,
+                                         .max_retries = params.max_elision_retries,
+                                         .capacity_serializes = false,
+                                         .seed = params.rng_seed,
+                                         .seed_stride = 0},
+                      .mode = TxMode::kElision,
+                      .monitored_word = &lock_word_->word,
+                      .wait = [this](SimThread& t) { return AwaitFree(t); }}) {
   machine.mem().PretouchPages(reinterpret_cast<uint64_t>(lock_word_), sizeof(LockWord));
-}
-
-Task<void> ElidableLock::ElidedAttempt(SimThread& t, const Body& body, uint64_t* rs,
-                                       uint64_t* ws) {
-  co_await t.Access(AccessKind::kSpeculate, uint64_t{0}, 1);
-  // Monitor the lock word without writing it: the lock stays free for other
-  // elisions; a real acquisition's store aborts us (requester wins).
-  co_await t.Access(AccessKind::kTxLoad, &lock_word_->word, 8);
-  if (lock_word_->word != 0) {
-    // Actually held: cannot elide right now.
-    co_await machine_.AbortRegion(t, AbortCause::kRestartSerial);
+  const uint32_t n = machine.scheduler().num_cores();
+  for (uint32_t i = 0; i < n; ++i) {
+    threads_.push_back(std::make_unique<HwThread>(nullptr));
   }
-  co_await body(/*elided=*/true);
-  asf::AsfContext& ctx = machine_.context(t.id());
-  *rs = ctx.read_set_lines();
-  *ws = ctx.write_set_lines();
-  co_await t.Access(AccessKind::kCommit, uint64_t{0}, 1);
 }
 
-Task<AbortCause> ElidableLock::TryElide(SimThread& t, const Body& body, TxStats* stats,
-                                        uint32_t retry) {
-  // Wait until the lock looks free before speculating.
+TxStats ElidableLock::TotalStats() const {
+  TxStats total;
+  for (const auto& pt : threads_) {
+    total.Add(pt->stats);
+  }
+  return total;
+}
+
+Task<bool> ElidableLock::AwaitFree(SimThread& t) {
   for (;;) {
     co_await t.Access(AccessKind::kLoad, &lock_word_->word, 8);
     if (lock_word_->word == 0) {
-      break;
+      co_return true;
     }
     co_await t.Sleep(100);
   }
-  if (stats != nullptr) {
-    ++stats->hw_attempts;
-  }
-  EmitTxEvent(machine_, t, TxEventKind::kTxBegin, TxMode::kElision, AbortCause::kNone, 0, retry);
-  uint64_t rs = 0;
-  uint64_t ws = 0;
-  AbortCause cause = co_await t.RunAbortable(ElidedAttempt(t, body, &rs, &ws));
-  if (cause == AbortCause::kNone) {
-    ++elided_commits_;
-    if (stats != nullptr) {
-      ++stats->hw_commits;
-    }
-    EmitTxEvent(machine_, t, TxEventKind::kTxCommit, TxMode::kElision, AbortCause::kNone, 0,
-                retry, rs, ws);
-    co_return cause;
-  }
-  ++elision_aborts_;
-  if (stats != nullptr) {
-    ++stats->aborts[static_cast<size_t>(cause)];
-  }
-  EmitTxEvent(machine_, t, TxEventKind::kTxAbort, TxMode::kElision, cause, 0, retry);
-  co_return cause;
 }
 
-Task<void> ElidableLock::RunLocked(SimThread& t, const Body& body, TxStats* stats) {
+Task<void> ElidableLock::RunLocked(SimThread& t, HwThread& pt, const Body& body) {
   EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kLock, AbortCause::kNone, 0,
               0, static_cast<uint64_t>(TxMode::kElision));
   co_await fallback_.Acquire(t);
   // The store aborts every concurrent elision monitoring the word.
   co_await t.Store(AccessKind::kStore, &lock_word_->word, 8, 1);
-  ++real_acquisitions_;
-  if (stats != nullptr) {
-    ++stats->serial_attempts;
-  }
+  ++pt.stats.serial_attempts;
   EmitTxEvent(machine_, t, TxEventKind::kTxBegin, TxMode::kLock, AbortCause::kNone, 0, 0);
+  pt.alloc.OnAttemptStart();
   co_await body(/*elided=*/false);
+  pt.alloc.OnCommit();
   co_await t.Store(AccessKind::kStore, &lock_word_->word, 8, 0);
   fallback_.Release(t);
-  if (stats != nullptr) {
-    ++stats->serial_commits;
-  }
+  ++pt.stats.serial_commits;
   EmitTxEvent(machine_, t, TxEventKind::kTxCommit, TxMode::kLock, AbortCause::kNone, 0, 0);
 }
 
-Task<void> ElidableLock::Backoff(SimThread& t, uint64_t wait, uint32_t retry, TxStats* stats) {
-  if (stats != nullptr) {
-    stats->backoff_cycles += wait;
-  }
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffStart, TxMode::kElision, AbortCause::kNone, 0,
-              retry);
-  co_await t.Sleep(wait);
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffEnd, TxMode::kElision, AbortCause::kNone, 0,
-              retry, wait);
-}
-
-Task<void> ElidableLock::CriticalSection(SimThread& t, Body body, TxStats* stats,
-                                         uint32_t site) {
-  policy_->OnBlockStart(t.id(), site);
-  uint32_t aborted = 0;  // Lifecycle retry ordinal within this section.
-  bool take_lock = params_.always_acquire;
-  while (!take_lock) {
-    AbortCause cause = co_await TryElide(t, body, stats, aborted);
-    if (cause == AbortCause::kNone) {
+Task<void> ElidableLock::Section(SimThread& t, HwThread& pt, uint32_t site, const Body& body) {
+  HwAttemptLoop::Block block = loop_.StartBlock(t, pt, site);
+  if (!params_.always_acquire) {
+    HwAttemptLoop::AttemptFn elided = [&body] { return body(/*elided=*/true); };
+    if (co_await loop_.Run(t, pt, block, elided) != HwAttemptLoop::Outcome::kFallback) {
       co_return;
     }
-    ++aborted;
-    if (cause == AbortCause::kRestartSerial) {
-      continue;  // Lock was held; waiting again is not a failed elision.
-    }
-    PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
-    if (d.action == PolicyAction::kSerialize) {
-      take_lock = true;
-    } else if (d.action == PolicyAction::kBackoffRetry) {
-      co_await Backoff(t, d.backoff_cycles, aborted, stats);
-    }
   }
-  co_await RunLocked(t, body, stats);
+  co_await RunLocked(t, pt, body);
+}
+
+Task<void> ElidableLock::CriticalSection(SimThread& t, Body body, uint32_t site) {
+  co_await Section(t, *threads_[t.id()], site, body);
 }
 
 // Transaction handle for ElisionTm: transactional accesses while elided,
 // plain irrevocable accesses while the real lock is held.
 class ElisionTx : public Tx {
  public:
-  ElisionTx(ElisionTm& rt, SimThread& t, ElisionTm::PerThread& pt, bool elided)
+  ElisionTx(ElisionTm& rt, SimThread& t, HwThread& pt, bool elided)
       : Tx(t), rt_(rt), pt_(pt), elided_(elided) {}
 
   bool irrevocable() const override { return !elided_; }
@@ -212,7 +162,7 @@ class ElisionTx : public Tx {
 
  private:
   ElisionTm& rt_;
-  ElisionTm::PerThread& pt_;
+  HwThread& pt_;
   const bool elided_;
 };
 
@@ -221,7 +171,7 @@ ElisionTm::ElisionTm(asf::Machine& machine, const ElisionTmParams& params)
   lock_ = std::make_unique<ElidableLock>(machine, params.lock);
   const uint32_t n = machine.scheduler().num_cores();
   for (uint32_t i = 0; i < n; ++i) {
-    auto pt = std::make_unique<PerThread>(&machine.arena());
+    auto pt = std::make_unique<HwThread>(&machine.arena());
     pt->alloc.Refill(1);
     threads_.push_back(std::move(pt));
   }
@@ -234,50 +184,13 @@ std::string ElisionTm::name() const {
 }
 
 Task<void> ElisionTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
-  PerThread& pt = *threads_[t.id()];
-  ++pt.stats.tx_started;
-  ElidableLock& lk = *lock_;
-  lk.policy().OnBlockStart(t.id(), site);
+  HwThread& pt = *threads_[t.id()];
   ElidableLock::Body section = [&](bool elided) -> Task<void> {
     CategoryGuard g(t.core(), CycleCategory::kTxAppCode);
     ElisionTx tx(*this, t, pt, elided);
     co_await body(tx);
   };
-  uint32_t aborted = 0;  // Lifecycle retry ordinal within this block.
-  bool take_lock = lk.always_acquire();
-  while (!take_lock) {
-    pt.alloc.OnAttemptStart();
-    AbortCause cause = co_await lk.TryElide(t, section, &pt.stats, aborted);
-    if (cause == AbortCause::kNone) {
-      pt.alloc.OnCommit();
-      co_return;
-    }
-    pt.alloc.OnAbort();
-    ++aborted;
-    switch (cause) {
-      case AbortCause::kRestartSerial:
-        continue;  // Lock was held; waiting again is not a failed elision.
-      case AbortCause::kUserAbort:
-        co_return;  // Language-level cancel: the block is done.
-      case AbortCause::kMallocRefill: {
-        co_await t.Access(AccessKind::kSyscall, uint64_t{0}, 1);
-        pt.alloc.Refill(pt.refill_bytes);
-        continue;
-      }
-      default: {
-        PolicyDecision d = lk.policy().OnAbort(t.id(), cause, site);
-        if (d.action == PolicyAction::kSerialize) {
-          take_lock = true;
-        } else if (d.action == PolicyAction::kBackoffRetry) {
-          co_await lk.Backoff(t, d.backoff_cycles, aborted, &pt.stats);
-        }
-        continue;
-      }
-    }
-  }
-  pt.alloc.OnAttemptStart();
-  co_await lk.RunLocked(t, section, &pt.stats);
-  pt.alloc.OnCommit();
+  co_await lock_->Section(t, pt, site, section);
 }
 
 TxStats ElisionTm::TotalStats() const {

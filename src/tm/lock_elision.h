@@ -12,8 +12,10 @@
 // stops eliding and takes the lock for real (its kSerialize action).
 //
 // The critical-section body must use transactional accesses for shared data
-// (the LOCK MOV annotation a compiler would emit under elision); the
-// CriticalSection() helper drives the retry/fallback loop.
+// (the LOCK MOV annotation a compiler would emit under elision). Elided
+// attempts run in the shared hardware-attempt loop (hw_attempt_loop.h),
+// which monitors the lock word; the lock supplies only its wait (sleep
+// until the word is free) and its fallback, RunLocked.
 //
 // ElisionTm wraps one ElidableLock behind the TmRuntime interface — every
 // atomic block becomes a critical section on the single lock — so the
@@ -28,11 +30,10 @@
 #include <vector>
 
 #include "src/asf/machine.h"
-#include "src/tm/contention_policy.h"
 #include "src/sim/sync.h"
+#include "src/tm/contention_policy.h"
+#include "src/tm/hw_attempt_loop.h"
 #include "src/tm/tm_api.h"
-#include "src/tm/tm_stats.h"
-#include "src/tm/tx_allocator.h"
 
 namespace asftm {
 
@@ -50,6 +51,9 @@ struct ElisionParams {
 class ElidableLock {
  public:
   ElidableLock(asf::Machine& machine, const ElisionParams& params = ElisionParams());
+  // The loop's wait callback holds this lock's address.
+  ElidableLock(const ElidableLock&) = delete;
+  ElidableLock& operator=(const ElidableLock&) = delete;
 
   // The critical-section body; runs speculatively (elided) or under the real
   // lock. `elided` tells the body which mode it is in (it must use
@@ -57,57 +61,39 @@ class ElidableLock {
   using Body = std::function<asfsim::Task<void>(bool elided)>;
 
   // Executes `body` as a critical section protected by this lock, eliding
-  // when possible. When `stats` is non-null the attempt outcomes are folded
-  // into it (elided attempts as hardware, real acquisitions as serial).
-  // `site` is the section's static site id, forwarded to the contention
-  // policy (0 = unattributed).
-  asfsim::Task<void> CriticalSection(asfsim::SimThread& t, Body body,
-                                     TxStats* stats = nullptr, uint32_t site = 0);
+  // when possible. `site` is the section's static site id, forwarded to the
+  // contention policy (0 = unattributed).
+  asfsim::Task<void> CriticalSection(asfsim::SimThread& t, Body body, uint32_t site = 0);
 
-  // --- Building blocks (used by CriticalSection and ElisionTm) -------------
-
-  // One elided attempt: waits for the lock to look free, speculates, runs
-  // `body(true)`, commits. Returns kNone on commit, the abort cause
-  // otherwise. Emits the kElision lifecycle events (with `retry` as the
-  // attempt ordinal within the block) and updates `stats`.
-  asfsim::Task<asfcommon::AbortCause> TryElide(asfsim::SimThread& t, const Body& body,
-                                               TxStats* stats, uint32_t retry);
-
-  // The fallback path: takes the lock for real (the store aborts every
-  // concurrent elision), runs `body(false)`, releases. Emits the kLock
-  // lifecycle events and updates `stats`.
-  asfsim::Task<void> RunLocked(asfsim::SimThread& t, const Body& body, TxStats* stats);
-
-  // Policy-computed backoff wait with the lifecycle events and stats.
-  asfsim::Task<void> Backoff(asfsim::SimThread& t, uint64_t wait, uint32_t retry,
-                             TxStats* stats);
-
-  ContentionPolicy& policy() { return *policy_; }
-  bool always_acquire() const { return params_.always_acquire; }
-
-  // Statistics.
-  uint64_t elided_commits() const { return elided_commits_; }
-  uint64_t real_acquisitions() const { return real_acquisitions_; }
-  uint64_t elision_aborts() const { return elision_aborts_; }
+  // Statistics of this lock's critical sections: elided attempts count as
+  // hardware ones, real acquisitions as serial ones.
+  TxStats TotalStats() const;
 
  private:
+  friend class ElisionTm;
+
   struct alignas(asfcommon::kCacheLineBytes) LockWord {
     uint64_t word = 0;
   };
 
-  // `rs`/`ws` receive the protected-set sizes just before COMMIT (the commit
-  // clears the ASF context), for the TxCommit lifecycle event.
-  asfsim::Task<void> ElidedAttempt(asfsim::SimThread& t, const Body& body, uint64_t* rs,
-                                   uint64_t* ws);
+  // The critical section on caller-owned per-thread state (ElisionTm's, whose
+  // allocator serves Tx::TxMalloc and whose stats are the runtime's).
+  asfsim::Task<void> Section(asfsim::SimThread& t, HwThread& pt, uint32_t site,
+                             const Body& body);
+  // The pre-speculation wait: sleeps until the lock word is free.
+  asfsim::Task<bool> AwaitFree(asfsim::SimThread& t);
+  // The fallback: takes the lock for real (the store aborts every concurrent
+  // elision), runs `body(false)`, releases.
+  asfsim::Task<void> RunLocked(asfsim::SimThread& t, HwThread& pt, const Body& body);
 
   asf::Machine& machine_;
   const ElisionParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
   LockWord* lock_word_;        // Arena-allocated; monitored by elisions.
+  HwAttemptLoop loop_;
   asfsim::SimMutex fallback_;  // Queue discipline for real acquisitions.
-  uint64_t elided_commits_ = 0;
-  uint64_t real_acquisitions_ = 0;
-  uint64_t elision_aborts_ = 0;
+  // Per-thread state of CriticalSection callers. Their allocators are never
+  // refilled: a raw section body has no Tx handle to allocate through.
+  std::vector<std::unique_ptr<HwThread>> threads_;
 };
 
 struct ElisionTmParams {
@@ -135,22 +121,13 @@ class ElisionTm : public TmRuntime {
   TxStats TotalStats() const override;
   void ResetStats() override;
 
-  ElidableLock& lock() { return *lock_; }
-
  private:
   friend class ElisionTx;
-
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-    uint64_t refill_bytes = 0;
-  };
 
   asf::Machine& machine_;
   const ElisionTmParams params_;
   std::unique_ptr<ElidableLock> lock_;
-  std::vector<std::unique_ptr<PerThread>> threads_;
+  std::vector<std::unique_ptr<HwThread>> threads_;
 };
 
 }  // namespace asftm

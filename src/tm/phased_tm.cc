@@ -12,7 +12,6 @@ using asfobs::TxEventKind;
 using asfobs::TxMode;
 using asfsim::AccessKind;
 using asfsim::CategoryGuard;
-using asfsim::Core;
 using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
@@ -20,7 +19,7 @@ using asfsim::Task;
 // Hardware-phase transaction handle (like ASF-TM's, but owned by PhasedTm).
 class PhasedHwTx : public Tx {
  public:
-  PhasedHwTx(PhasedTm& rt, SimThread& t, PhasedTm::PerThread& pt) : Tx(t), rt_(rt), pt_(pt) {}
+  PhasedHwTx(PhasedTm& rt, SimThread& t, HwThread& pt) : Tx(t), rt_(rt), pt_(pt) {}
 
   Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
     SimThread& t = thread();
@@ -69,23 +68,25 @@ class PhasedHwTx : public Tx {
 
  private:
   PhasedTm& rt_;
-  PhasedTm::PerThread& pt_;
+  HwThread& pt_;
 };
 
 PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
-    : machine_(machine), params_(params), policy_(params.policy) {
-  if (policy_ == nullptr) {
-    ExpBackoffParams pp;
-    pp.base_cycles = params.backoff_base_cycles;
-    pp.shift_cap = params.backoff_shift_cap;
-    pp.max_retries = params.max_contention_retries;
-    // Capacity is what the software phase is *for*: switch at once.
-    pp.capacity_serializes = true;
-    pp.seed = params.rng_seed;
-    pp.seed_stride = 0xABCD;
-    policy_ = MakeExpBackoffPolicy(pp);
-  }
-  phase_ = machine.arena().New<PhaseState>();
+    : machine_(machine),
+      params_(params),
+      phase_(machine.arena().New<PhaseState>()),
+      // Capacity is what the software phase is *for*: switch at once.
+      loop_(machine, {.policy = params.policy,
+                      .default_policy = {.base_cycles = params.backoff_base_cycles,
+                                         .shift_cap = params.backoff_shift_cap,
+                                         .max_retries = params.max_contention_retries,
+                                         .capacity_serializes = true,
+                                         .seed = params.rng_seed,
+                                         .seed_stride = 0xABCD},
+                      .monitored_word = &phase_->phase,
+                      .begin_instructions = params.begin_instructions,
+                      .commit_instructions = params.commit_instructions,
+                      .wait = [this](SimThread& t) { return InHardwarePhase(t); }}) {
   TinyStmParams stm_params;
   stm_params.orec_count_log2 = params.stm_orec_count_log2;
   stm_params.max_read_set = params.stm_max_read_set;
@@ -94,7 +95,7 @@ PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
   stm_ = std::make_unique<TinyStm>(machine, stm_params);
   const uint32_t n = machine.scheduler().num_cores();
   for (uint32_t i = 0; i < n; ++i) {
-    auto pt = std::make_unique<PerThread>(&machine.arena());
+    auto pt = std::make_unique<HwThread>(&machine.arena());
     pt->alloc.Refill(1);
     threads_.push_back(std::move(pt));
   }
@@ -107,41 +108,9 @@ std::string PhasedTm::name() const {
   return "PhasedTM (" + machine_.params().variant.Name() + " / TinySTM)";
 }
 
-Task<void> PhasedTm::HwAttempt(SimThread& t, PerThread& pt, const BodyFn& body) {
-  Core& core = t.core();
-  pt.alloc.OnAttemptStart();
-  {
-    CategoryGuard g(core, CycleCategory::kTxStartCommit);
-    core.WorkInstructions(params_.begin_instructions);
-    co_await t.Access(AccessKind::kSpeculate, uint64_t{0}, 1);
-    // Monitor the phase word: the switch to software aborts us instantly.
-    co_await t.Access(AccessKind::kTxLoad, &phase_->phase, 8);
-    if (phase_->phase != kHardware) {
-      co_await machine_.AbortRegion(t, AbortCause::kRestartSerial);
-    }
-  }
-  {
-    CategoryGuard g(core, CycleCategory::kTxAppCode);
-    PhasedHwTx tx(*this, t, pt);
-    co_await body(tx);
-  }
-  {
-    CategoryGuard g(core, CycleCategory::kTxStartCommit);
-    core.WorkInstructions(params_.commit_instructions);
-    asf::AsfContext& ctx = machine_.context(t.id());
-    pt.last_read_lines = ctx.read_set_lines();
-    pt.last_write_lines = ctx.write_set_lines();
-    co_await t.Access(AccessKind::kCommit, uint64_t{0}, 1);
-  }
-}
-
-Task<void> PhasedTm::Backoff(SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry) {
-  pt.stats.backoff_cycles += wait;
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffStart, TxMode::kHardware, AbortCause::kNone, 0,
-              retry);
-  co_await t.Sleep(wait);
-  EmitTxEvent(machine_, t, TxEventKind::kBackoffEnd, TxMode::kHardware, AbortCause::kNone, 0,
-              retry, wait);
+Task<bool> PhasedTm::InHardwarePhase(SimThread& t) {
+  co_await t.Access(AccessKind::kLoad, &phase_->phase, 8);
+  co_return phase_->phase == kHardware;
 }
 
 // Flips the whole system into the software phase. The store aborts every
@@ -155,59 +124,27 @@ Task<void> PhasedTm::SwitchToSoftware(SimThread& t, uint32_t aborted_attempts) {
 }
 
 Task<void> PhasedTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
-  PerThread& pt = *threads_[t.id()];
-  Core& core = t.core();
-  ++pt.stats.tx_started;
-  policy_->OnBlockStart(t.id(), site);
-  uint32_t aborted_attempts = 0;  // Lifecycle retry ordinal for this block.
+  HwThread& pt = *threads_[t.id()];
+  HwAttemptLoop::Block block = loop_.StartBlock(t, pt, site);
+  HwAttemptLoop::AttemptFn hw_body = [&]() -> Task<void> {
+    PhasedHwTx tx(*this, t, pt);
+    co_await body(tx);
+  };
   for (;;) {
-    co_await t.Access(AccessKind::kLoad, &phase_->phase, 8);
-    if (phase_->phase == kHardware) {
-      // ---- Hardware phase ----
-      ++pt.stats.hw_attempts;
-      core.BeginAttemptAccounting();
-      EmitTxEvent(machine_, t, TxEventKind::kTxBegin, TxMode::kHardware, AbortCause::kNone,
-                  core.attempt_seq(), aborted_attempts);
-      AbortCause cause = co_await t.RunAbortable(HwAttempt(t, pt, body));
-      if (cause == AbortCause::kNone) {
-        core.CommitAttemptAccounting();
-        pt.alloc.OnCommit();
-        ++pt.stats.hw_commits;
-        EmitTxEvent(machine_, t, TxEventKind::kTxCommit, TxMode::kHardware, AbortCause::kNone,
-                    core.attempt_seq(), aborted_attempts, pt.last_read_lines,
-                    pt.last_write_lines);
+    // ---- Hardware phase ----
+    switch (co_await loop_.Run(t, pt, block, hw_body)) {
+      case HwAttemptLoop::Outcome::kCommitted:
+      case HwAttemptLoop::Outcome::kCancelled:
         co_return;
-      }
-      core.AbortAttemptAccounting();
-      ++pt.stats.aborts[static_cast<size_t>(cause)];
-      pt.alloc.OnAbort();
-      EmitTxEvent(machine_, t, TxEventKind::kTxAbort, TxMode::kHardware, cause,
-                  core.attempt_seq(), aborted_attempts);
-      ++aborted_attempts;
-      switch (cause) {
-        case AbortCause::kRestartSerial:
-          continue;  // Phase flipped under us; re-dispatch.
-        case AbortCause::kUserAbort:
-          co_return;
-        case AbortCause::kMallocRefill: {
-          co_await t.Access(AccessKind::kSyscall, uint64_t{0}, 1);
-          pt.alloc.Refill(pt.refill_bytes);
-          continue;
-        }
-        default: {
-          // The PhTM move: a kSerialize decision (capacity, or a spent
-          // contention budget) flips the whole system into the software
-          // phase instead of serializing, so capacity-challenged
-          // transactions retain concurrency among themselves.
-          PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
-          if (d.action == PolicyAction::kSerialize) {
-            co_await SwitchToSoftware(t, aborted_attempts);
-          } else if (d.action == PolicyAction::kBackoffRetry) {
-            co_await Backoff(t, pt, d.backoff_cycles, aborted_attempts);
-          }
-          continue;
-        }
-      }
+      case HwAttemptLoop::Outcome::kFallback:
+        // The PhTM move: a kSerialize decision (capacity, or a spent
+        // contention budget) flips the whole system into the software
+        // phase instead of serializing, so capacity-challenged
+        // transactions retain concurrency among themselves.
+        co_await SwitchToSoftware(t, block.aborted);
+        continue;
+      case HwAttemptLoop::Outcome::kDeclined:
+        break;  // Not the hardware phase; phase_->phase is as just loaded.
     }
 
     if (phase_->phase == kDraining) {

@@ -11,13 +11,17 @@
 // so the store that flips the phase aborts all of them instantly. Software
 // transactions register in an active counter; the system returns to the
 // hardware phase once the software quota is consumed and no software
-// transaction is in flight.
+// transaction is in flight. The hardware phase runs in the shared
+// hardware-attempt loop (hw_attempt_loop.h) with the phase word as its
+// monitored word; its wait loads the phase word once and declines outside
+// the hardware phase, and its fallback is the switch to software.
 #ifndef SRC_TM_PHASED_TM_H_
 #define SRC_TM_PHASED_TM_H_
 
 #include <memory>
 
 #include "src/tm/contention_policy.h"
+#include "src/tm/hw_attempt_loop.h"
 #include "src/tm/tiny_stm.h"
 
 namespace asftm {
@@ -76,27 +80,17 @@ class PhasedTm : public TmRuntime {
     uint64_t software_budget = 0;  // Remaining commits before switching back.
   };
 
-  struct PerThread {
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
-    TxStats stats;
-    TxAllocator alloc;
-    uint64_t refill_bytes = 0;
-    // Protected-set sizes captured just before COMMIT (see AsfTm::PerThread).
-    uint64_t last_read_lines = 0;
-    uint64_t last_write_lines = 0;
-  };
-
-  asfsim::Task<void> HwAttempt(asfsim::SimThread& t, PerThread& pt, const BodyFn& body);
-  // Sleeps the policy-computed wait, with stats + lifecycle events.
-  asfsim::Task<void> Backoff(asfsim::SimThread& t, PerThread& pt, uint64_t wait, uint32_t retry);
+  // The pre-speculation wait: loads the phase word once; true in the
+  // hardware phase.
+  asfsim::Task<bool> InHardwarePhase(asfsim::SimThread& t);
   asfsim::Task<void> SwitchToSoftware(asfsim::SimThread& t, uint32_t aborted_attempts);
 
   asf::Machine& machine_;
   const PhasedTmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
   PhaseState* phase_;
+  HwAttemptLoop loop_;
   std::unique_ptr<TinyStm> stm_;  // Executes software-phase transactions.
-  std::vector<std::unique_ptr<PerThread>> threads_;
+  std::vector<std::unique_ptr<HwThread>> threads_;
   uint64_t to_software_ = 0;
   uint64_t to_hardware_ = 0;
 };

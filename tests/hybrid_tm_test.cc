@@ -52,8 +52,8 @@ TEST(LockElision, DisjointCriticalSectionsRunConcurrently) {
   for (auto& c : cells) {
     EXPECT_EQ(c.value, 100u);
   }
-  EXPECT_EQ(lock.real_acquisitions(), 0u);  // Never serialized.
-  EXPECT_EQ(lock.elided_commits(), 400u);
+  EXPECT_EQ(lock.TotalStats().serial_attempts, 0u);  // Never serialized.
+  EXPECT_EQ(lock.TotalStats().hw_commits, 400u);
 }
 
 TEST(LockElision, ConflictingSectionsStayCorrect) {
@@ -79,7 +79,7 @@ TEST(LockElision, ConflictingSectionsStayCorrect) {
     }
   });
   EXPECT_EQ(shared.value, 400u);
-  EXPECT_GT(lock.elision_aborts(), 0u);
+  EXPECT_GT(lock.TotalStats().TotalAborts(), 0u);
 }
 
 TEST(LockElision, RealAcquisitionAbortsElisions) {
@@ -120,8 +120,8 @@ TEST(LockElision, RealAcquisitionAbortsElisions) {
     EXPECT_EQ(c.value, 5u);
   }
   EXPECT_EQ(small.value, 100u);
-  EXPECT_GT(lock.real_acquisitions(), 0u);
-  EXPECT_GT(lock.elided_commits(), 0u);
+  EXPECT_GT(lock.TotalStats().serial_attempts, 0u);
+  EXPECT_GT(lock.TotalStats().hw_commits, 0u);
 }
 
 TEST(PhasedTm, CounterAtomicAcrossThreads) {

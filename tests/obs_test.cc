@@ -161,45 +161,75 @@ harness::IntsetConfig ContendedConfig() {
 }
 
 TEST(ObsFullStack, OfflineAnalysisMatchesOnlineBreakdownExactly) {
-  asfsim::Tracer tracer;
-  ObsSession session;
-  harness::IntsetConfig cfg = ContendedConfig();
-  cfg.obs.tracer = &tracer;
-  cfg.obs.tx_sink = &session;
-  harness::IntsetResult r = harness::RunIntset(cfg);
-  ASSERT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
-  ASSERT_GT(r.committed_tx, 0u);
+  // ASF-TM, then the two other runtimes driven by the shared hardware-attempt
+  // loop, whose attempts must be accounted the same way.
+  for (harness::RuntimeKind runtime :
+       {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kPhasedTm,
+        harness::RuntimeKind::kLockElision}) {
+    SCOPED_TRACE(harness::RuntimeKindName(runtime));
+    asfsim::Tracer tracer;
+    ObsSession session;
+    harness::IntsetConfig cfg = ContendedConfig();
+    cfg.runtime = runtime;
+    cfg.obs.tracer = &tracer;
+    cfg.obs.tx_sink = &session;
+    harness::IntsetResult r = harness::RunIntset(cfg);
+    ASSERT_TRUE(r.invariant_violation.empty()) << r.invariant_violation;
+    ASSERT_GT(r.committed_tx, 0u);
 
-  TraceAnalysis a = AnalyzeTrace(tracer.spans(), session.log().events());
-  // The acceptance criterion: per-category cycle totals from offline trace
-  // analysis match the online accounting bit for bit.
-  for (size_t i = 0; i < kNumCategories; ++i) {
-    EXPECT_EQ(a.category_cycles[i], r.breakdown.cycles[i])
-        << "category " << asfsim::CycleCategoryName(static_cast<CycleCategory>(i));
-  }
-  EXPECT_EQ(a.total_cycles, r.breakdown.Total());
+    TraceAnalysis a = AnalyzeTrace(tracer.spans(), session.log().events());
+    // The acceptance criterion: per-category cycle totals from offline trace
+    // analysis match the online accounting bit for bit.
+    for (size_t i = 0; i < kNumCategories; ++i) {
+      EXPECT_EQ(a.category_cycles[i], r.breakdown.cycles[i])
+          << "category " << asfsim::CycleCategoryName(static_cast<CycleCategory>(i));
+    }
+    EXPECT_EQ(a.total_cycles, r.breakdown.Total());
 
-  // Lifecycle events reproduce the runtime's own statistics.
-  EXPECT_EQ(a.total_commits, r.tm.Commits());
-  EXPECT_EQ(a.total_aborts, r.tm.TotalAborts());
-  for (size_t c = 0; c < a.aborts_by_cause.size(); ++c) {
-    EXPECT_EQ(a.aborts_by_cause[c], r.tm.aborts[c]) << "cause " << c;
-  }
-  EXPECT_DOUBLE_EQ(a.AbortRatePercent(), r.tm.AbortRatePercent());
+    // Every speculative attempt is attempt-accounted, so its aborted cycles
+    // are booked as waste.
+    uint64_t hw_aborts = 0;
+    uint64_t unaccounted = 0;  // Begin/abort events without an attempt id.
+    for (const asfobs::TxEvent& ev : session.log().events()) {
+      const bool speculative =
+          ev.mode == asfobs::TxMode::kHardware || ev.mode == asfobs::TxMode::kElision;
+      if (speculative &&
+          (ev.kind == asfobs::TxEventKind::kTxBegin || ev.kind == asfobs::TxEventKind::kTxAbort)) {
+        unaccounted += ev.attempt == 0 ? 1 : 0;
+        hw_aborts += ev.kind == asfobs::TxEventKind::kTxAbort ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(unaccounted, 0u);
+    if (hw_aborts > 0) {
+      EXPECT_GT(r.breakdown.At(CycleCategory::kTxAbortWaste), 0u);
+    }
 
-  // The metrics adapter agrees with both.
-  asfobs::MetricsRegistry& reg = session.registry();
-  EXPECT_EQ(reg.FindCounter("tx_begins")->value(), a.total_commits + a.total_aborts);
-  EXPECT_EQ(reg.FindCounter("commits.hw")->value(), r.tm.hw_commits);
-  EXPECT_EQ(reg.FindCounter("commits.serial")->value(), r.tm.serial_commits);
-  EXPECT_EQ(reg.FindHistogram("tx_latency_cycles")->count(), a.total_commits + a.total_aborts);
-  EXPECT_EQ(reg.FindHistogram("retries_per_commit")->count(), a.total_commits);
+    // Lifecycle events reproduce the runtime's own statistics.
+    EXPECT_EQ(a.total_commits, r.tm.Commits());
+    EXPECT_EQ(a.total_aborts, r.tm.TotalAborts());
+    for (size_t c = 0; c < a.aborts_by_cause.size(); ++c) {
+      EXPECT_EQ(a.aborts_by_cause[c], r.tm.aborts[c]) << "cause " << c;
+    }
+    EXPECT_DOUBLE_EQ(a.AbortRatePercent(), r.tm.AbortRatePercent());
 
-  // A committed hardware transaction protects at least one line.
-  asfobs::Histogram* rs = reg.FindHistogram("read_set_lines");
-  if (r.tm.hw_commits > 0) {
-    EXPECT_GT(rs->count(), 0u);
-    EXPECT_GT(rs->max(), 0u);
+    // The metrics adapter agrees with both.
+    asfobs::MetricsRegistry& reg = session.registry();
+    EXPECT_EQ(reg.FindCounter("tx_begins")->value(), a.total_commits + a.total_aborts);
+    EXPECT_EQ(reg.FindHistogram("tx_latency_cycles")->count(), a.total_commits + a.total_aborts);
+    EXPECT_EQ(reg.FindHistogram("retries_per_commit")->count(), a.total_commits);
+    const bool elision = runtime == harness::RuntimeKind::kLockElision;
+    EXPECT_EQ(reg.FindCounter(elision ? "commits.elision" : "commits.hw")->value(),
+              r.tm.hw_commits);
+    EXPECT_EQ(reg.FindCounter(elision ? "commits.lock" : "commits.serial")->value(),
+              r.tm.serial_commits);
+    EXPECT_EQ(reg.FindCounter("commits.stm")->value(), r.tm.stm_commits);
+
+    // A committed hardware transaction protects at least one line.
+    asfobs::Histogram* rs = reg.FindHistogram("read_set_lines");
+    if (r.tm.hw_commits > 0) {
+      EXPECT_GT(rs->count(), 0u);
+      EXPECT_GT(rs->max(), 0u);
+    }
   }
 }
 

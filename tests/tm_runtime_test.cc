@@ -10,6 +10,8 @@
 #include "src/common/frame_pool.h"
 #include "src/common/random.h"
 #include "src/tm/asf_tm.h"
+#include "src/tm/lock_elision.h"
+#include "src/tm/phased_tm.h"
 #include "src/tm/serial_tm.h"
 #include "src/tm/tiny_stm.h"
 #include "tests/resident_bytes.h"
@@ -210,46 +212,62 @@ TEST(AsfTm, SerialModeAbortsConcurrentHardwareTx) {
   EXPECT_EQ(total.hw_commits, 200u);
 }
 
+// The runtimes whose hardware attempts run in the shared hardware-attempt
+// loop; the abort-path tests below cover each of them.
+using RuntimeFactory = std::unique_ptr<TmRuntime> (*)(asf::Machine&);
+const RuntimeFactory kHwLoopRuntimes[] = {
+    [](asf::Machine& m) -> std::unique_ptr<TmRuntime> { return std::make_unique<AsfTm>(m); },
+    [](asf::Machine& m) -> std::unique_ptr<TmRuntime> { return std::make_unique<PhasedTm>(m); },
+    [](asf::Machine& m) -> std::unique_ptr<TmRuntime> { return std::make_unique<ElisionTm>(m); },
+};
+
 TEST(AsfTm, TxMallocRefillAbortsThenSucceeds) {
-  asf::Machine m(QuietParams(asf::AsfVariant::Llb256(), 1));
-  AsfTm rt(m);
-  Cell head;
-  Pretouch(m, &head, sizeof(head));
-  // Allocate more than one 64 KiB chunk's worth of 64-byte nodes.
-  constexpr int kNodes = 1200;
-  RunWorkers(m, 1, [&](SimThread& t, uint32_t) -> Task<void> {
-    for (int i = 0; i < kNodes; ++i) {
-      co_await rt.Atomic(t, [&](Tx& tx) -> Task<void> {
-        void* p = co_await tx.TxMalloc(48);
-        auto* cell = static_cast<Cell*>(p);
-        co_await tx.Write(&cell->value, uint64_t{7});
-        uint64_t v = co_await tx.Read(&head.value);
-        co_await tx.Write(&head.value, v + 1);
-      });
-    }
-  });
-  EXPECT_EQ(head.value, static_cast<uint64_t>(kNodes));
-  TxStats total = rt.TotalStats();
-  EXPECT_GT(total.Aborts(AbortCause::kMallocRefill), 0u);
-  // Fresh chunk pages fault inside transactions (the paper's hash-set
-  // behavior): expect page-fault aborts too.
-  EXPECT_GT(total.Aborts(AbortCause::kPageFault), 0u);
+  for (RuntimeFactory make : kHwLoopRuntimes) {
+    asf::Machine m(QuietParams(asf::AsfVariant::Llb256(), 1));
+    std::unique_ptr<TmRuntime> rt = make(m);
+    SCOPED_TRACE(rt->name());
+    Cell head;
+    Pretouch(m, &head, sizeof(head));
+    // Allocate more than one 64 KiB chunk's worth of 64-byte nodes.
+    constexpr int kNodes = 1200;
+    RunWorkers(m, 1, [&](SimThread& t, uint32_t) -> Task<void> {
+      for (int i = 0; i < kNodes; ++i) {
+        co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
+          void* p = co_await tx.TxMalloc(48);
+          auto* cell = static_cast<Cell*>(p);
+          co_await tx.Write(&cell->value, uint64_t{7});
+          uint64_t v = co_await tx.Read(&head.value);
+          co_await tx.Write(&head.value, v + 1);
+        });
+      }
+    });
+    EXPECT_EQ(head.value, static_cast<uint64_t>(kNodes));
+    TxStats total = rt->TotalStats();
+    EXPECT_GT(total.Aborts(AbortCause::kMallocRefill), 0u);
+    // Fresh chunk pages fault inside transactions (the paper's hash-set
+    // behavior): expect page-fault aborts too.
+    EXPECT_GT(total.Aborts(AbortCause::kPageFault), 0u);
+  }
 }
 
 TEST(AsfTm, UserAbortCancelsWithoutRetry) {
-  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 1));
-  AsfTm rt(m);
-  Cell cell;
-  Pretouch(m, &cell, sizeof(cell));
-  RunWorkers(m, 1, [&](SimThread& t, uint32_t) -> Task<void> {
-    co_await rt.Atomic(t, [&](Tx& tx) -> Task<void> {
-      co_await tx.Write(&cell.value, uint64_t{99});
-      co_await tx.UserAbort();
+  for (RuntimeFactory make : kHwLoopRuntimes) {
+    asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 1));
+    std::unique_ptr<TmRuntime> rt = make(m);
+    SCOPED_TRACE(rt->name());
+    Cell cell;
+    Pretouch(m, &cell, sizeof(cell));
+    RunWorkers(m, 1, [&](SimThread& t, uint32_t) -> Task<void> {
+      co_await rt->Atomic(t, [&](Tx& tx) -> Task<void> {
+        co_await tx.Write(&cell.value, uint64_t{99});
+        co_await tx.UserAbort();
+      });
     });
-  });
-  EXPECT_EQ(cell.value, 0u);  // Cancelled: no effects.
-  EXPECT_EQ(rt.TotalStats().Commits(), 0u);
-  EXPECT_EQ(rt.TotalStats().Aborts(AbortCause::kUserAbort), 1u);
+    EXPECT_EQ(cell.value, 0u);  // Cancelled: no effects.
+    EXPECT_EQ(rt->TotalStats().Commits(), 0u);
+    EXPECT_EQ(rt->TotalStats().Aborts(AbortCause::kUserAbort), 1u);
+    EXPECT_EQ(rt->TotalStats().TotalAttempts(), 1u);  // No retry.
+  }
 }
 
 TEST(AsfTm, UserAbortInSerialModeRollsBack) {
