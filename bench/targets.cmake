@@ -1,5 +1,5 @@
-# Benchmark binaries: one per paper table/figure plus substrate
-# microbenchmarks. Included from the top-level CMakeLists (not via
+# Benchmark binaries: one per paper table/figure plus the perf, stress and
+# litmus benches. Included from the top-level CMakeLists (not via
 # add_subdirectory) so that build/bench/ contains only the executables and
 # `for b in build/bench/*; do $b; done` runs the whole suite cleanly.
 function(asf_add_bench name)
@@ -99,7 +99,3 @@ endforeach()
 add_test(NAME stress_faults_replay
          COMMAND stress_faults --quick --verify-replay)
 set_tests_properties(stress_faults_replay PROPERTIES LABELS "stress")
-
-add_executable(micro_substrate ${CMAKE_SOURCE_DIR}/bench/micro_substrate.cc)
-target_link_libraries(micro_substrate PRIVATE asf_harness benchmark::benchmark)
-set_target_properties(micro_substrate PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

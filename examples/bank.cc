@@ -113,12 +113,15 @@ RunOutcome RunBank(const char* runtime_kind) {
 int main() {
   std::printf("Bank example: %u threads, %u accounts, invariant total = %lu\n\n", kThreads,
               kAccounts, static_cast<uint64_t>(kAccounts) * kInitialBalance);
+  // Atomicity: the total is conserved and no audit saw another total.
+  bool atomic = true;
   for (const char* kind : {"asf", "stm", "lock"}) {
     RunOutcome r = RunBank(kind);
+    const bool ok = r.total_balance == kAccounts * kInitialBalance;
+    atomic = atomic && ok && r.audit_failures == 0;
     std::printf("%-12s total=%lu (%s)  audit-failures=%lu  throughput=%.2f tx/us  aborts=%lu\n",
-                kind, r.total_balance,
-                r.total_balance == kAccounts * kInitialBalance ? "conserved" : "VIOLATED",
-                r.audit_failures, r.tx_per_us, r.aborts);
+                kind, r.total_balance, ok ? "conserved" : "VIOLATED", r.audit_failures,
+                r.tx_per_us, r.aborts);
   }
-  return 0;
+  return atomic ? 0 : 1;
 }

@@ -47,7 +47,7 @@ Task<void> Dcas(SimThread& t, Cell* a, Cell* b, uint64_t expect_a, uint64_t expe
   co_await t.Access(AccessKind::kCommit, uint64_t{0}, 1);     // COMMIT
 }
 
-void RunDcasDemo() {
+bool RunDcasDemo() {
   asf::MachineParams params;
   params.num_cores = 4;
   params.variant = asf::AsfVariant::Llb8();
@@ -82,11 +82,12 @@ void RunDcasDemo() {
               a->value, b->value,
               m.context(0).stats().TotalAborts() + m.context(1).stats().TotalAborts() +
                   m.context(2).stats().TotalAborts() + m.context(3).stats().TotalAborts());
+  return a->value == 80 && b->value == 160;
 }
 
 // --- Part 2: atomic blocks through the TM runtime ---------------------------
 
-void RunAtomicBlockDemo() {
+bool RunAtomicBlockDemo() {
   asf::MachineParams params;
   params.num_cores = 4;
   params.variant = asf::AsfVariant::Llb256();
@@ -112,13 +113,14 @@ void RunAtomicBlockDemo() {
       counter->value, stats.hw_commits, stats.serial_commits, stats.TotalAborts());
   std::printf("    simulated time: %.1f us at 2.2 GHz\n",
               static_cast<double>(m.scheduler().MaxCycle()) / 2200.0);
+  return counter->value == 1000;
 }
 
 }  // namespace
 
 int main() {
   std::printf("ASF TM stack quickstart (simulated 4-core machine)\n\n");
-  RunDcasDemo();
-  RunAtomicBlockDemo();
-  return 0;
+  const bool dcas_ok = RunDcasDemo();
+  const bool atomic_ok = RunAtomicBlockDemo();
+  return dcas_ok && atomic_ok ? 0 : 1;
 }

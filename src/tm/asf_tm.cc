@@ -17,69 +17,6 @@ using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
 
-// Transaction handle for the hardware (speculative-region) path: barriers
-// map 1:1 onto LOCK MOV / RELEASE.
-class AsfHwTx : public Tx {
- public:
-  AsfHwTx(AsfTm& rt, SimThread& t, AsfTm::PerThread& pt) : Tx(t), rt_(rt), pt_(pt) {}
-
-  Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(rt_.params_.barrier_instructions);
-    co_await t.Access(AccessKind::kTxLoad, addr, size);
-    // Safe to read host directly: the line is monitored, so any conflicting
-    // remote write would have aborted this region before we resumed.
-    uint64_t v = 0;
-    std::memcpy(&v, reinterpret_cast<const void*>(addr), size);
-    co_return v;
-  }
-
-  Task<void> WriteBarrier(uint64_t addr, uint32_t size, uint64_t value) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(rt_.params_.barrier_instructions);
-    co_await t.Store(AccessKind::kTxStore, addr, size, value);
-  }
-
-  Task<void> ReleaseBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(rt_.params_.barrier_instructions);
-    co_await t.Access(AccessKind::kRelease, addr, size);
-  }
-
-  Task<void*> TxMalloc(uint64_t bytes) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxNonInstr);
-    t.core().WorkInstructions(rt_.params_.alloc_instructions);
-    void* p = pt_.alloc.TryAlloc(bytes);
-    if (p == nullptr) {
-      // Refilling needs the default allocator; not abort-safe inside a
-      // region. Abort; the retry loop refills nonspeculatively.
-      pt_.refill_bytes = bytes;
-      co_await rt_.machine_.AbortRegion(t, AbortCause::kMallocRefill);
-    }
-    co_return p;
-  }
-
-  Task<void> TxFree(void* p) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxNonInstr);
-    t.core().WorkInstructions(4);
-    pt_.alloc.DeferFree(p);
-    co_return;
-  }
-
-  Task<void> UserAbort() override {
-    co_await rt_.machine_.AbortRegion(thread(), AbortCause::kUserAbort);
-  }
-
- private:
-  AsfTm& rt_;
-  AsfTm::PerThread& pt_;
-};
-
 // Transaction handle for serial-irrevocable mode: plain accesses, no
 // speculation, no rollback capability.
 class AsfSerialTx : public Tx {
@@ -161,6 +98,9 @@ AsfTm::AsfTm(asf::Machine& machine, const AsfTmParams& params)
                       .monitored_word = &serial_lock_->word,
                       .begin_instructions = params.begin_instructions,
                       .commit_instructions = params.commit_instructions,
+                      .barrier_instructions = params.barrier_instructions,
+                      .release_instructions = params.barrier_instructions,
+                      .alloc_instructions = params.alloc_instructions,
                       .wait = [this](SimThread& t) { return AwaitSerialFree(t); }}) {
   const uint32_t n = machine.scheduler().num_cores();
   threads_.reserve(n);
@@ -238,31 +178,13 @@ Task<void> AsfTm::RunSerial(SimThread& t, PerThread& pt, const BodyFn& body, uin
 
 Task<void> AsfTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
-  HwAttemptLoop::Block block = loop_.StartBlock(t, pt, site);
-  HwAttemptLoop::AttemptFn hw_body = [&]() -> Task<void> {
-    AsfHwTx tx(*this, t, pt);
-    co_await body(tx);
-  };
-  if (co_await loop_.Run(t, pt, block, hw_body) != HwAttemptLoop::Outcome::kFallback) {
+  AttemptLoop::Block block = loop_.StartBlock(t, pt, site);
+  if (co_await loop_.Run(t, pt, block, body) != AttemptLoop::Outcome::kFallback) {
     co_return;
   }
   EmitTxEvent(machine_, t, TxEventKind::kFallbackTransition, TxMode::kSerial, AbortCause::kNone,
               0, block.aborted, static_cast<uint64_t>(TxMode::kHardware));
   co_await RunSerial(t, pt, body, block.aborted);
-}
-
-TxStats AsfTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void AsfTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
 }
 
 uint64_t AsfTm::TotalRefills() const {

@@ -10,9 +10,9 @@
 //      (selective annotation: stack and runtime-local data stay plain).
 //   3. COMMIT publishes; aborts resume after SPECULATE, which the runtime
 //      surfaces as the retry loop observing the abort cause. Steps 1-3 and
-//      the retries are the shared hardware-attempt loop
-//      (hw_attempt_loop.h); ASF-TM supplies the serial lock word, its
-//      instruction counts, the wait for a serializer to drain, and step 4.
+//      the retries are the shared attempt loop (attempt_loop.h); ASF-TM
+//      supplies the serial lock word, its instruction counts, the wait for
+//      a serializer to drain, and step 4.
 //   4. Fallback policy (paper Sec. 3.2): capacity overflows and allocator-
 //      refill aborts switch the transaction to serial-irrevocable mode, as
 //      does exceeding the contention retry budget; contention uses
@@ -33,7 +33,7 @@
 #include "src/asf/machine.h"
 #include "src/sim/sync.h"
 #include "src/tm/contention_policy.h"
-#include "src/tm/hw_attempt_loop.h"
+#include "src/tm/attempt_loop.h"
 #include "src/tm/tm_api.h"
 
 namespace asftm {
@@ -72,14 +72,13 @@ class AsfTm : public TmRuntime {
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
+  TxStats TotalStats() const override { return SumThreadStats(threads_); }
+  void ResetStats() override { ResetThreadStats(threads_); }
 
   // Total allocator refills across threads (diagnostics).
   uint64_t TotalRefills() const;
 
  private:
-  friend class AsfHwTx;
   friend class AsfSerialTx;
 
   struct SerialUndoEntry {
@@ -88,8 +87,8 @@ class AsfTm : public TmRuntime {
     uint64_t old_value;
   };
 
-  struct PerThread : HwThread {
-    using HwThread::HwThread;
+  struct PerThread : TmThread {
+    using TmThread::TmThread;
     // Undo log for serial mode: the serial token serializes all
     // transactions, but language-level cancel (Tx::UserAbort) must still be
     // able to roll the attempt back (GCC libitm's "serial" vs
@@ -110,7 +109,7 @@ class AsfTm : public TmRuntime {
   asf::Machine& machine_;
   const AsfTmParams params_;
   SerialLock* serial_lock_;  // Arena-allocated (deterministic address).
-  HwAttemptLoop loop_;
+  AttemptLoop loop_;
   asfsim::SimMutex serial_mutex_;
   std::vector<std::unique_ptr<PerThread>> threads_;
 };

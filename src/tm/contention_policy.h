@@ -8,10 +8,11 @@
 // randomization, capacity and budget exhaustion falling back to
 // serial-irrevocable mode — is the default.
 //
-// Who asks: ASF-TM, PhasedTM and lock elision share one hardware-attempt
-// loop (hw_attempt_loop.h), which calls OnBlockStart/OnAbort and carries out
+// Who asks: ASF-TM, PhasedTM, lock elision and TinySTM share one attempt
+// loop (attempt_loop.h), which calls OnBlockStart/OnAbort and carries out
 // the answer — retry now, or sleep the backoff and retry, or return to the
-// runtime for its fallback. TinySTM asks from its own retry loop.
+// runtime for its fallback. Each runtime supplies only its default policy
+// seeding (Spec::default_policy) and its fallback.
 //
 // Division of labor: causes that are *mechanism*, not contention management,
 // never reach the policy — kRestartSerial (a serializer/phase-flip/lock
@@ -22,9 +23,9 @@
 // What kSerialize means is the runtime's strongest fallback, which each
 // runtime still supplies itself: ASF-TM enters serial-irrevocable mode,
 // PhasedTM flips the system to the software phase, lock elision takes the
-// real lock. TinySTM has no fallback and treats kSerialize as an immediate
-// retry (the STM's word-granular conflict detection does not livelock the
-// way requester-wins hardware can).
+// real lock. TinySTM has no fallback: the loop's kStm mode treats kSerialize
+// as an immediate retry with no backoff (the STM's word-granular conflict
+// detection does not livelock the way requester-wins hardware can).
 #ifndef SRC_TM_CONTENTION_POLICY_H_
 #define SRC_TM_CONTENTION_POLICY_H_
 

@@ -13,9 +13,9 @@
 //
 // The critical-section body must use transactional accesses for shared data
 // (the LOCK MOV annotation a compiler would emit under elision). Elided
-// attempts run in the shared hardware-attempt loop (hw_attempt_loop.h),
-// which monitors the lock word; the lock supplies only its wait (sleep
-// until the word is free) and its fallback, RunLocked.
+// attempts run in the shared attempt loop (attempt_loop.h), which monitors
+// the lock word; the lock supplies only its wait (sleep until the word is
+// free) and its fallback, RunLocked.
 //
 // ElisionTm wraps one ElidableLock behind the TmRuntime interface — every
 // atomic block becomes a critical section on the single lock — so the
@@ -32,7 +32,7 @@
 #include "src/asf/machine.h"
 #include "src/sim/sync.h"
 #include "src/tm/contention_policy.h"
-#include "src/tm/hw_attempt_loop.h"
+#include "src/tm/attempt_loop.h"
 #include "src/tm/tm_api.h"
 
 namespace asftm {
@@ -67,7 +67,7 @@ class ElidableLock {
 
   // Statistics of this lock's critical sections: elided attempts count as
   // hardware ones, real acquisitions as serial ones.
-  TxStats TotalStats() const;
+  TxStats TotalStats() const { return SumThreadStats(threads_); }
 
  private:
   friend class ElisionTm;
@@ -76,24 +76,33 @@ class ElidableLock {
     uint64_t word = 0;
   };
 
+  // The section's body under the real lock.
+  using LockedFn = std::function<asfsim::Task<void>()>;
+
+  // ElisionTm's lock: the loop's Tx charges the runtime's barrier and
+  // allocation instruction counts while elided.
+  ElidableLock(asf::Machine& machine, const ElisionParams& params,
+               uint32_t barrier_instructions, uint32_t alloc_instructions);
+
   // The critical section on caller-owned per-thread state (ElisionTm's, whose
-  // allocator serves Tx::TxMalloc and whose stats are the runtime's).
-  asfsim::Task<void> Section(asfsim::SimThread& t, HwThread& pt, uint32_t site,
-                             const Body& body);
+  // allocator serves Tx::TxMalloc and whose stats are the runtime's):
+  // `elided` runs in the loop on its hardware Tx, `locked` under the lock.
+  asfsim::Task<void> Section(asfsim::SimThread& t, TmThread& pt, uint32_t site,
+                             const BodyFn& elided, const LockedFn& locked);
   // The pre-speculation wait: sleeps until the lock word is free.
   asfsim::Task<bool> AwaitFree(asfsim::SimThread& t);
   // The fallback: takes the lock for real (the store aborts every concurrent
-  // elision), runs `body(false)`, releases.
-  asfsim::Task<void> RunLocked(asfsim::SimThread& t, HwThread& pt, const Body& body);
+  // elision), runs `locked`, releases.
+  asfsim::Task<void> RunLocked(asfsim::SimThread& t, TmThread& pt, const LockedFn& locked);
 
   asf::Machine& machine_;
   const ElisionParams params_;
   LockWord* lock_word_;        // Arena-allocated; monitored by elisions.
-  HwAttemptLoop loop_;
+  AttemptLoop loop_;
   asfsim::SimMutex fallback_;  // Queue discipline for real acquisitions.
   // Per-thread state of CriticalSection callers. Their allocators are never
   // refilled: a raw section body has no Tx handle to allocate through.
-  std::vector<std::unique_ptr<HwThread>> threads_;
+  std::vector<std::unique_ptr<TmThread>> threads_;
 };
 
 struct ElisionTmParams {
@@ -118,16 +127,16 @@ class ElisionTm : public TmRuntime {
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
+  TxStats TotalStats() const override { return SumThreadStats(threads_); }
+  void ResetStats() override { ResetThreadStats(threads_); }
 
  private:
   friend class ElisionTx;
 
   asf::Machine& machine_;
   const ElisionTmParams params_;
-  std::unique_ptr<ElidableLock> lock_;
-  std::vector<std::unique_ptr<HwThread>> threads_;
+  ElidableLock lock_;
+  std::vector<std::unique_ptr<TmThread>> threads_;
 };
 
 }  // namespace asftm

@@ -1,8 +1,6 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
 #include "src/tm/phased_tm.h"
 
-#include <cstring>
-
 #include "src/tm/tx_observe.h"
 
 namespace asftm {
@@ -11,65 +9,8 @@ using asfcommon::AbortCause;
 using asfobs::TxEventKind;
 using asfobs::TxMode;
 using asfsim::AccessKind;
-using asfsim::CategoryGuard;
-using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
-
-// Hardware-phase transaction handle (like ASF-TM's, but owned by PhasedTm).
-class PhasedHwTx : public Tx {
- public:
-  PhasedHwTx(PhasedTm& rt, SimThread& t, HwThread& pt) : Tx(t), rt_(rt), pt_(pt) {}
-
-  Task<uint64_t> ReadBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(rt_.params_.barrier_instructions);
-    co_await t.Access(AccessKind::kTxLoad, addr, size);
-    uint64_t v = 0;
-    std::memcpy(&v, reinterpret_cast<const void*>(addr), size);
-    co_return v;
-  }
-
-  Task<void> WriteBarrier(uint64_t addr, uint32_t size, uint64_t value) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    t.core().WorkInstructions(rt_.params_.barrier_instructions);
-    co_await t.Store(AccessKind::kTxStore, addr, size, value);
-  }
-
-  Task<void> ReleaseBarrier(uint64_t addr, uint32_t size) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxLoadStore);
-    co_await t.Access(AccessKind::kRelease, addr, size);
-  }
-
-  Task<void*> TxMalloc(uint64_t bytes) override {
-    SimThread& t = thread();
-    CategoryGuard g(t.core(), CycleCategory::kTxNonInstr);
-    t.core().WorkInstructions(rt_.params_.alloc_instructions);
-    void* p = pt_.alloc.TryAlloc(bytes);
-    if (p == nullptr) {
-      pt_.refill_bytes = bytes;
-      co_await rt_.machine_.AbortRegion(t, AbortCause::kMallocRefill);
-    }
-    co_return p;
-  }
-
-  Task<void> TxFree(void* p) override {
-    thread().core().WorkInstructions(4);
-    pt_.alloc.DeferFree(p);
-    co_return;
-  }
-
-  Task<void> UserAbort() override {
-    co_await rt_.machine_.AbortRegion(thread(), AbortCause::kUserAbort);
-  }
-
- private:
-  PhasedTm& rt_;
-  HwThread& pt_;
-};
 
 PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
     : machine_(machine),
@@ -86,6 +27,8 @@ PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
                       .monitored_word = &phase_->phase,
                       .begin_instructions = params.begin_instructions,
                       .commit_instructions = params.commit_instructions,
+                      .barrier_instructions = params.barrier_instructions,
+                      .alloc_instructions = params.alloc_instructions,
                       .wait = [this](SimThread& t) { return InHardwarePhase(t); }}) {
   TinyStmParams stm_params;
   stm_params.orec_count_log2 = params.stm_orec_count_log2;
@@ -95,7 +38,7 @@ PhasedTm::PhasedTm(asf::Machine& machine, const PhasedTmParams& params)
   stm_ = std::make_unique<TinyStm>(machine, stm_params);
   const uint32_t n = machine.scheduler().num_cores();
   for (uint32_t i = 0; i < n; ++i) {
-    auto pt = std::make_unique<HwThread>(&machine.arena());
+    auto pt = std::make_unique<TmThread>(&machine.arena());
     pt->alloc.Refill(1);
     threads_.push_back(std::move(pt));
   }
@@ -124,26 +67,22 @@ Task<void> PhasedTm::SwitchToSoftware(SimThread& t, uint32_t aborted_attempts) {
 }
 
 Task<void> PhasedTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
-  HwThread& pt = *threads_[t.id()];
-  HwAttemptLoop::Block block = loop_.StartBlock(t, pt, site);
-  HwAttemptLoop::AttemptFn hw_body = [&]() -> Task<void> {
-    PhasedHwTx tx(*this, t, pt);
-    co_await body(tx);
-  };
+  TmThread& pt = *threads_[t.id()];
+  AttemptLoop::Block block = loop_.StartBlock(t, pt, site);
   for (;;) {
     // ---- Hardware phase ----
-    switch (co_await loop_.Run(t, pt, block, hw_body)) {
-      case HwAttemptLoop::Outcome::kCommitted:
-      case HwAttemptLoop::Outcome::kCancelled:
+    switch (co_await loop_.Run(t, pt, block, body)) {
+      case AttemptLoop::Outcome::kCommitted:
+      case AttemptLoop::Outcome::kCancelled:
         co_return;
-      case HwAttemptLoop::Outcome::kFallback:
+      case AttemptLoop::Outcome::kFallback:
         // The PhTM move: a kSerialize decision (capacity, or a spent
         // contention budget) flips the whole system into the software
         // phase instead of serializing, so capacity-challenged
         // transactions retain concurrency among themselves.
         co_await SwitchToSoftware(t, block.aborted);
         continue;
-      case HwAttemptLoop::Outcome::kDeclined:
+      case AttemptLoop::Outcome::kDeclined:
         break;  // Not the hardware phase; phase_->phase is as just loaded.
     }
 
@@ -192,10 +131,7 @@ Task<void> PhasedTm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
 }
 
 TxStats PhasedTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
+  TxStats total = SumThreadStats(threads_);
   // Fold in the STM-side abort/attempt counters (commits are already
   // counted as stm_commits above; avoid double counting them).
   TxStats stm = stm_->TotalStats();
@@ -205,13 +141,6 @@ TxStats PhasedTm::TotalStats() const {
     total.aborts[i] += stm.aborts[i];
   }
   return total;
-}
-
-void PhasedTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
-  stm_->ResetStats();
 }
 
 }  // namespace asftm

@@ -11,17 +11,17 @@
 // so the store that flips the phase aborts all of them instantly. Software
 // transactions register in an active counter; the system returns to the
 // hardware phase once the software quota is consumed and no software
-// transaction is in flight. The hardware phase runs in the shared
-// hardware-attempt loop (hw_attempt_loop.h) with the phase word as its
-// monitored word; its wait loads the phase word once and declines outside
-// the hardware phase, and its fallback is the switch to software.
+// transaction is in flight. The hardware phase runs in the shared attempt
+// loop (attempt_loop.h) with the phase word as its monitored word; its wait
+// loads the phase word once and declines outside the hardware phase, and
+// its fallback is the switch to software.
 #ifndef SRC_TM_PHASED_TM_H_
 #define SRC_TM_PHASED_TM_H_
 
 #include <memory>
 
 #include "src/tm/contention_policy.h"
-#include "src/tm/hw_attempt_loop.h"
+#include "src/tm/attempt_loop.h"
 #include "src/tm/tiny_stm.h"
 
 namespace asftm {
@@ -59,15 +59,16 @@ class PhasedTm : public TmRuntime {
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
   TxStats TotalStats() const override;
-  void ResetStats() override;
+  void ResetStats() override {
+    ResetThreadStats(threads_);
+    stm_->ResetStats();
+  }
 
   // Phase-transition counters (diagnostics / tests).
   uint64_t switches_to_software() const { return to_software_; }
   uint64_t switches_to_hardware() const { return to_hardware_; }
 
  private:
-  friend class PhasedHwTx;
-
   static constexpr uint64_t kHardware = 0;
   static constexpr uint64_t kSoftware = 1;
   static constexpr uint64_t kDraining = 2;  // Software phase emptying out.
@@ -88,9 +89,9 @@ class PhasedTm : public TmRuntime {
   asf::Machine& machine_;
   const PhasedTmParams params_;
   PhaseState* phase_;
-  HwAttemptLoop loop_;
+  AttemptLoop loop_;
   std::unique_ptr<TinyStm> stm_;  // Executes software-phase transactions.
-  std::vector<std::unique_ptr<HwThread>> threads_;
+  std::vector<std::unique_ptr<TmThread>> threads_;
   uint64_t to_software_ = 0;
   uint64_t to_hardware_ = 0;
 };

@@ -83,20 +83,6 @@ Task<void> SequentialTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
               asfcommon::AbortCause::kNone, 0, 0);
 }
 
-TxStats SequentialTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void SequentialTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
-}
-
 GlobalLockTm::GlobalLockTm(asf::Machine& machine) : machine_(machine) {
   lock_word_ = machine.arena().New<LockWord>();
   for (uint32_t i = 0; i < machine.scheduler().num_cores(); ++i) {
@@ -128,20 +114,6 @@ Task<void> GlobalLockTm::Atomic(SimThread& t, uint32_t /*site*/, BodyFn body) {
   ++pt.stats.seq_commits;
   EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxCommit, asfobs::TxMode::kLock,
               asfcommon::AbortCause::kNone, 0, 0);
-}
-
-TxStats GlobalLockTm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void GlobalLockTm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
 }
 
 }  // namespace asftm

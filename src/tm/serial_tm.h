@@ -30,8 +30,8 @@ class SequentialTm : public TmRuntime {
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
+  TxStats TotalStats() const override { return SumThreadStats(threads_); }
+  void ResetStats() override { ResetThreadStats(threads_); }
 
  private:
   friend class SeqTx;
@@ -55,8 +55,8 @@ class GlobalLockTm : public TmRuntime {
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
+  TxStats TotalStats() const override { return SumThreadStats(threads_); }
+  void ResetStats() override { ResetThreadStats(threads_); }
 
  private:
   struct PerThread {

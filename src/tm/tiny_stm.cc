@@ -4,14 +4,11 @@
 #include <cstring>
 #include <type_traits>
 
-#include "src/tm/tx_observe.h"
-
 namespace asftm {
 
 using asfcommon::AbortCause;
 using asfsim::AccessKind;
 using asfsim::CategoryGuard;
-using asfsim::Core;
 using asfsim::CycleCategory;
 using asfsim::SimThread;
 using asfsim::Task;
@@ -126,16 +123,20 @@ class StmTx : public Tx {
 };
 
 TinyStm::TinyStm(asf::Machine& machine, const TinyStmParams& params)
-    : machine_(machine), params_(params), policy_(params.policy) {
-  if (policy_ == nullptr) {
-    ExpBackoffParams pp;
-    pp.base_cycles = params.backoff_base_cycles;
-    pp.shift_cap = params.backoff_shift_cap;
-    pp.max_retries = UINT32_MAX;  // Obstruction handled by backoff alone.
-    pp.seed = params.rng_seed;
-    pp.seed_stride = 0x517B;
-    policy_ = MakeExpBackoffPolicy(pp);
-  }
+    : machine_(machine),
+      params_(params),
+      loop_(machine,
+            {.policy = params.policy,
+             .default_policy = {.base_cycles = params.backoff_base_cycles,
+                                .shift_cap = params.backoff_shift_cap,
+                                // Obstruction handled by backoff alone.
+                                .max_retries = UINT32_MAX,
+                                .seed = params.rng_seed,
+                                .seed_stride = 0x517B},
+             .mode = asfobs::TxMode::kStm,
+             .attempt = [this](SimThread& t, TmThread& pt, const BodyFn& body) {
+               return StmAttempt(t, static_cast<PerThread&>(pt), body);
+             }}) {
   static_assert(std::is_trivially_default_constructible_v<Orec> &&
                 std::is_trivially_default_constructible_v<ReadEntry> &&
                 std::is_trivially_default_constructible_v<WriteEntry>);
@@ -255,9 +256,6 @@ Task<void> TinyStm::Commit(SimThread& t, PerThread& pt) {
 }
 
 Task<void> TinyStm::StmAttempt(SimThread& t, PerThread& pt, const BodyFn& body) {
-  pt.read_count = 0;
-  pt.write_count = 0;
-  pt.alloc.OnAttemptStart();
   {
     CategoryGuard g(t.core(), CycleCategory::kTxStartCommit);
     t.core().WorkInstructions(params_.begin_instructions);
@@ -274,62 +272,8 @@ Task<void> TinyStm::StmAttempt(SimThread& t, PerThread& pt, const BodyFn& body) 
 
 Task<void> TinyStm::Atomic(SimThread& t, uint32_t site, BodyFn body) {
   PerThread& pt = *threads_[t.id()];
-  Core& core = t.core();
-  ++pt.stats.tx_started;
-  policy_->OnBlockStart(t.id(), site);
-  for (uint32_t retry = 0;; ++retry) {
-    ++pt.stats.stm_attempts;
-    core.BeginAttemptAccounting();
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxBegin, asfobs::TxMode::kStm,
-                AbortCause::kNone, core.attempt_seq(), retry);
-    AbortCause cause = co_await t.RunAbortable(StmAttempt(t, pt, body));
-    if (cause == AbortCause::kNone) {
-      core.CommitAttemptAccounting();
-      pt.alloc.OnCommit();
-      ++pt.stats.stm_commits;
-      // read_count/write_count survive the attempt: log entries, the STM
-      // analog of the hardware modes' protected-set line counts.
-      EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxCommit, asfobs::TxMode::kStm,
-                  AbortCause::kNone, core.attempt_seq(), retry, pt.read_count, pt.write_count);
-      co_return;
-    }
-    core.AbortAttemptAccounting();
-    ++pt.stats.aborts[static_cast<size_t>(cause)];
-    pt.alloc.OnAbort();
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kTxAbort, asfobs::TxMode::kStm, cause,
-                core.attempt_seq(), retry, pt.read_count, pt.write_count);
-    if (cause == AbortCause::kUserAbort) {
-      co_return;
-    }
-    // No fallback mode exists here, so a kSerialize decision degenerates to
-    // an immediate retry; the STM's word-granular conflict detection plus
-    // backoff is its whole forward-progress story.
-    PolicyDecision d = policy_->OnAbort(t.id(), cause, site);
-    if (d.action != PolicyAction::kBackoffRetry) {
-      continue;
-    }
-    uint64_t wait = d.backoff_cycles;
-    pt.stats.backoff_cycles += wait;
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kBackoffStart, asfobs::TxMode::kStm,
-                AbortCause::kNone, 0, retry);
-    co_await t.Sleep(wait);
-    EmitTxEvent(machine_, t, asfobs::TxEventKind::kBackoffEnd, asfobs::TxMode::kStm,
-                AbortCause::kNone, 0, retry, wait);
-  }
-}
-
-TxStats TinyStm::TotalStats() const {
-  TxStats total;
-  for (const auto& pt : threads_) {
-    total.Add(pt->stats);
-  }
-  return total;
-}
-
-void TinyStm::ResetStats() {
-  for (auto& pt : threads_) {
-    pt->stats = TxStats{};
-  }
+  AttemptLoop::Block block = loop_.StartBlock(t, pt, site);
+  co_await loop_.Run(t, pt, block, body);
 }
 
 }  // namespace asftm

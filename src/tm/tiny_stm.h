@@ -29,9 +29,8 @@
 #include <vector>
 
 #include "src/asf/machine.h"
-#include "src/tm/contention_policy.h"
+#include "src/tm/attempt_loop.h"
 #include "src/tm/tm_api.h"
-#include "src/tm/tx_allocator.h"
 
 namespace asftm {
 
@@ -55,8 +54,9 @@ struct TinyStmParams {
   uint32_t backoff_shift_cap = 10;
   uint64_t rng_seed = 0x7A57;
   // Contention management. Null constructs the default exponential-backoff
-  // policy (unlimited retries) from the knobs above. The STM has no fallback
-  // mode, so kSerialize decisions retry immediately instead.
+  // policy (unlimited retries) from the knobs above. Attempts run in the
+  // shared attempt loop (attempt_loop.h) in kStm mode; the STM has no
+  // fallback mode, so kSerialize decisions retry immediately instead.
   std::shared_ptr<ContentionPolicy> policy;
 };
 
@@ -69,8 +69,8 @@ class TinyStm : public TmRuntime {
   using TmRuntime::Atomic;
   asfsim::Task<void> Atomic(asfsim::SimThread& thread, uint32_t site, BodyFn body) override;
   const TxStats& stats(uint32_t thread_id) const override { return threads_[thread_id]->stats; }
-  TxStats TotalStats() const override;
-  void ResetStats() override;
+  TxStats TotalStats() const override { return SumThreadStats(threads_); }
+  void ResetStats() override { ResetThreadStats(threads_); }
 
  private:
   friend class StmTx;
@@ -107,16 +107,13 @@ class TinyStm : public TmRuntime {
     bool locked_here;
   };
 
-  struct PerThread {
-    TxStats stats;
-    TxAllocator alloc;
+  // The logs hold read_count/write_count entries (TmThread's counters, which
+  // the loop zeroes at each attempt start and reports on its events).
+  struct PerThread : TmThread {
+    using TmThread::TmThread;
     uint64_t rv = 0;  // Read timestamp.
     ReadEntry* read_set = nullptr;
-    uint64_t read_count = 0;
     WriteEntry* write_set = nullptr;
-    uint64_t write_count = 0;
-
-    explicit PerThread(asfcommon::SimArena* arena) : alloc(arena) {}
   };
 
   // Hashed on the arena-relative offset, not the raw host address: the
@@ -143,7 +140,7 @@ class TinyStm : public TmRuntime {
 
   asf::Machine& machine_;
   const TinyStmParams params_;
-  std::shared_ptr<ContentionPolicy> policy_;
+  AttemptLoop loop_;
   GlobalClock* clock_;    // Arena-allocated.
   Orec* orecs_;           // Arena-allocated table of orec_count_ entries.
   uint64_t orec_count_;

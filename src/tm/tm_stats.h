@@ -57,6 +57,24 @@ struct TxStats {
   void Add(const TxStats& o);
 };
 
+// The runtime-wide fold of per-thread records: `threads` holds pointers to
+// records with a `stats` member (one per core).
+template <typename Threads>
+TxStats SumThreadStats(const Threads& threads) {
+  TxStats total;
+  for (const auto& pt : threads) {
+    total.Add(pt->stats);
+  }
+  return total;
+}
+
+template <typename Threads>
+void ResetThreadStats(Threads& threads) {
+  for (auto& pt : threads) {
+    pt->stats = TxStats{};
+  }
+}
+
 }  // namespace asftm
 
 #endif  // SRC_TM_TM_STATS_H_

@@ -161,11 +161,11 @@ harness::IntsetConfig ContendedConfig() {
 }
 
 TEST(ObsFullStack, OfflineAnalysisMatchesOnlineBreakdownExactly) {
-  // ASF-TM, then the two other runtimes driven by the shared hardware-attempt
-  // loop, whose attempts must be accounted the same way.
+  // ASF-TM, then the three other runtimes driven by the shared attempt loop,
+  // whose attempts must be accounted the same way.
   for (harness::RuntimeKind runtime :
        {harness::RuntimeKind::kAsfTm, harness::RuntimeKind::kPhasedTm,
-        harness::RuntimeKind::kLockElision}) {
+        harness::RuntimeKind::kLockElision, harness::RuntimeKind::kTinyStm}) {
     SCOPED_TRACE(harness::RuntimeKindName(runtime));
     asfsim::Tracer tracer;
     ObsSession session;
@@ -186,21 +186,22 @@ TEST(ObsFullStack, OfflineAnalysisMatchesOnlineBreakdownExactly) {
     }
     EXPECT_EQ(a.total_cycles, r.breakdown.Total());
 
-    // Every speculative attempt is attempt-accounted, so its aborted cycles
-    // are booked as waste.
-    uint64_t hw_aborts = 0;
+    // Every speculative attempt (STM ones included) is attempt-accounted, so
+    // its aborted cycles are booked as waste.
+    uint64_t speculative_aborts = 0;
     uint64_t unaccounted = 0;  // Begin/abort events without an attempt id.
     for (const asfobs::TxEvent& ev : session.log().events()) {
-      const bool speculative =
-          ev.mode == asfobs::TxMode::kHardware || ev.mode == asfobs::TxMode::kElision;
+      const bool speculative = ev.mode == asfobs::TxMode::kHardware ||
+                               ev.mode == asfobs::TxMode::kElision ||
+                               ev.mode == asfobs::TxMode::kStm;
       if (speculative &&
           (ev.kind == asfobs::TxEventKind::kTxBegin || ev.kind == asfobs::TxEventKind::kTxAbort)) {
         unaccounted += ev.attempt == 0 ? 1 : 0;
-        hw_aborts += ev.kind == asfobs::TxEventKind::kTxAbort ? 1 : 0;
+        speculative_aborts += ev.kind == asfobs::TxEventKind::kTxAbort ? 1 : 0;
       }
     }
     EXPECT_EQ(unaccounted, 0u);
-    if (hw_aborts > 0) {
+    if (speculative_aborts > 0) {
       EXPECT_GT(r.breakdown.At(CycleCategory::kTxAbortWaste), 0u);
     }
 

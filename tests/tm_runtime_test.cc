@@ -212,8 +212,8 @@ TEST(AsfTm, SerialModeAbortsConcurrentHardwareTx) {
   EXPECT_EQ(total.hw_commits, 200u);
 }
 
-// The runtimes whose hardware attempts run in the shared hardware-attempt
-// loop; the abort-path tests below cover each of them.
+// The runtimes whose hardware attempts run in the shared attempt loop; the
+// abort-path tests below cover each of them.
 using RuntimeFactory = std::unique_ptr<TmRuntime> (*)(asf::Machine&);
 const RuntimeFactory kHwLoopRuntimes[] = {
     [](asf::Machine& m) -> std::unique_ptr<TmRuntime> { return std::make_unique<AsfTm>(m); },
@@ -251,7 +251,12 @@ TEST(AsfTm, TxMallocRefillAbortsThenSucceeds) {
 }
 
 TEST(AsfTm, UserAbortCancelsWithoutRetry) {
-  for (RuntimeFactory make : kHwLoopRuntimes) {
+  // Every runtime in the attempt loop, the STM included.
+  const RuntimeFactory kLoopRuntimes[] = {
+      kHwLoopRuntimes[0], kHwLoopRuntimes[1], kHwLoopRuntimes[2],
+      [](asf::Machine& m) -> std::unique_ptr<TmRuntime> { return std::make_unique<TinyStm>(m); },
+  };
+  for (RuntimeFactory make : kLoopRuntimes) {
     asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 1));
     std::unique_ptr<TmRuntime> rt = make(m);
     SCOPED_TRACE(rt->name());
@@ -338,6 +343,28 @@ TEST(TinyStm, WriteWriteConflictResolvedByLocking) {
   });
   EXPECT_EQ(a.value, 200u);
   EXPECT_EQ(b.value, 200u);
+}
+
+TEST(TinyStm, SerializeDecisionsRetryAtOnceWithoutBackoff) {
+  // The STM has no fallback: when the policy says serialize, the attempt
+  // loop retries immediately, with no backoff wait and no backoff events.
+  struct BackoffCounter final : asfobs::TxEventSink {
+    void OnTxEvent(const asfobs::TxEvent& ev) override {
+      starts += ev.kind == asfobs::TxEventKind::kBackoffStart ? 1 : 0;
+    }
+    uint64_t starts = 0;
+  } backoffs;
+  asf::Machine m(QuietParams(asf::AsfVariant::Llb8(), 4));
+  m.SetTxSink(&backoffs);
+  TinyStmParams params;
+  params.policy = MakeImmediateSerializePolicy();
+  TinyStm rt(m, params);
+  CounterTest(rt, m, 4, 200);
+  TxStats s = rt.TotalStats();
+  EXPECT_GT(s.Aborts(AbortCause::kStmConflict), 0u);
+  EXPECT_EQ(s.stm_attempts, s.stm_commits + s.TotalAborts());
+  EXPECT_EQ(s.backoff_cycles, 0u);
+  EXPECT_EQ(backoffs.starts, 0u);
 }
 
 TEST(TinyStm, ReadOnlyTransactionsCommitWithoutClockBump) {

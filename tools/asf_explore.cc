@@ -50,7 +50,7 @@ struct Args {
 void Usage() {
   std::printf(
       "asf_explore --workload intset|stamp [options]\n"
-      "  common:  --runtime asf|stm|seq|lock|phased\n"
+      "  common:  --runtime asf|stm|seq|lock|phased|elision\n"
       "           --variant llb8|llb256|llb8-l1|llb256-l1|asf1\n"
       "           --threads N (1..8)   --seed N   --no-timer\n"
       "           --reps N       repeat the run N times with seeds seed, seed+1, ...\n"
