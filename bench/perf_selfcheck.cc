@@ -1,29 +1,22 @@
 // Copyright (c) 2026 The asf-tm-stack Authors. All rights reserved.
-// Simulator self-benchmark: anchors the performance trajectory of the stack
-// itself (docs/PERFORMANCE.md). Runs a representative slice of the Figure 5
-// IntegerSet sweep twice — once serially (--jobs 1) and once fanned out over
-// the host cores — and reports, for each mode, the wall-clock time, the total
-// simulated cycles, and the headline metric simulated-cycles-per-host-second.
-// The two passes must produce identical per-configuration results (the sweep
-// engine's determinism guarantee); any digest mismatch is a hard failure. At
-// --jobs 1 the serial pass is run once and reported for both modes.
+// Simulator bit-identity gate (docs/PERFORMANCE.md): runs a representative
+// slice of the Figure 5 IntegerSet sweep and records one result digest per
+// configuration. The digests are wall-clock independent, so they must not
+// move with --jobs, with the host, or with any host-side optimization.
 //
-// The emitted JSON (--json, checked in as BENCH_sim_throughput.json) records
-// the host CPU count so a reported speedup of ~1x on a single-core runner is
-// distinguishable from a regression on a multi-core one — and a per-config
-// digest table. `--baseline <path>` re-reads such a report and hard-fails if
-// any digest shifted, so a host-side "optimization" that changes simulated
-// results cannot land silently (the bit-identity gate for the frame pool and
-// the scheduler/memory fast paths).
-#include <chrono>
+// The emitted JSON (--json, checked in as BENCH_sim_throughput.json) carries
+// the per-config digest table. `--baseline <path>` re-reads such a report and
+// hard-fails if any digest shifted, so a host-side "optimization" that changes
+// simulated results cannot land silently. Run at a --jobs other than the
+// baseline's, the same check also proves the sweep is jobs-invariant.
+// Simulator speed is measured by perfbench (python3 perfbench/run.py), not
+// here.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/asf/machine.h"
-#include "src/common/frame_pool.h"
 #include "src/common/table.h"
 #include "src/harness/experiment.h"
 #include "src/harness/sweep.h"
@@ -34,17 +27,8 @@ namespace {
 
 constexpr const char* kDigestTableTitle = "Result digests (per configuration)";
 
-// One measured pass over the configuration grid.
-struct PassResult {
-  double wall_seconds = 0.0;
-  uint64_t sim_cycles = 0;          // Sum of measured-window cycles.
-  uint64_t committed_tx = 0;
-  harness::HostPerf host;            // Summed fast-path telemetry.
-  std::vector<std::string> digests;  // Per-config, submission order.
-};
-
 // Order-sensitive fingerprint of one configuration's result; wall-clock
-// independent, so serial and parallel passes must agree byte for byte.
+// independent, so every --jobs count must agree byte for byte.
 std::string DigestOf(const harness::IntsetResult& r) {
   return std::to_string(r.committed_tx) + ":" + std::to_string(r.measure_cycles) + ":" +
          std::to_string(r.tm.TotalAttempts()) + ":" + std::to_string(r.tm.TotalAborts());
@@ -92,50 +76,6 @@ std::vector<harness::IntsetConfig> BuildGrid(bool quick, uint64_t seed) {
     }
   }
   return grid;
-}
-
-PassResult RunPass(const std::vector<harness::IntsetConfig>& grid, uint32_t jobs) {
-  PassResult pass;
-  auto start = std::chrono::steady_clock::now();
-  harness::SweepRunner sweep(jobs);
-  for (const harness::IntsetConfig& cfg : grid) {
-    sweep.SubmitIntset(cfg);
-  }
-  sweep.Run();
-  pass.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  for (size_t i = 0; i < grid.size(); ++i) {
-    const harness::IntsetResult& r = sweep.intset(i);
-    pass.sim_cycles += r.measure_cycles;
-    pass.committed_tx += r.committed_tx;
-    pass.host.wakes += r.host.wakes;
-    pass.host.fast_wakes += r.host.fast_wakes;
-    pass.host.inline_wakes += r.host.inline_wakes;
-    pass.host.mem_accesses += r.host.mem_accesses;
-    pass.host.mem_line_hits += r.host.mem_line_hits;
-    pass.host.mem_page_hits += r.host.mem_page_hits;
-    pass.host.dir_resolutions += r.host.dir_resolutions;
-    pass.host.dir_gate_skips += r.host.dir_gate_skips;
-    pass.host.dir_solo_fast_paths += r.host.dir_solo_fast_paths;
-    pass.host.dir_probes += r.host.dir_probes;
-    pass.host.dir_probe_hits += r.host.dir_probe_hits;
-    pass.digests.push_back(DigestOf(r));
-  }
-  return pass;
-}
-
-std::string Rate(uint64_t cycles, double seconds) {
-  if (seconds <= 0.0) {
-    return "-";
-  }
-  return asfcommon::Table::Num(static_cast<double>(cycles) / seconds / 1e6, 1);
-}
-
-std::string Pct(uint64_t part, uint64_t whole) {
-  if (whole == 0) {
-    return "-";
-  }
-  return asfcommon::Table::Num(100.0 * static_cast<double>(part) / static_cast<double>(whole), 1) +
-         "%";
 }
 
 // Compares this run's digest table against a previously written JSON report.
@@ -217,14 +157,10 @@ int CheckBaseline(const std::string& path, const benchutil::Options& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Benchmark-specific flags, filtered out before the shared strict parser:
-  // --baseline <path> compares this run's digests against a prior --json
-  // report and fails on any shift; --gate-check reruns the grid with the
-  // conflict directory's active-speculator gate force-disabled and fails if
-  // any digest differs from the gated serial pass (the fast path must never
-  // drift from the slow path).
+  // --baseline <path> is filtered out before the shared strict parser: it
+  // compares this run's digests against a prior --json report and fails on
+  // any shift.
   std::string baseline_path;
-  bool gate_check = false;
   std::vector<char*> filtered;
   filtered.reserve(static_cast<size_t>(argc));
   filtered.push_back(argv[0]);
@@ -235,8 +171,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--gate-check") == 0) {
-      gate_check = true;
     } else {
       filtered.push_back(argv[i]);
     }
@@ -246,168 +180,26 @@ int main(int argc, char** argv) {
   benchutil::JsonReport report("perf_selfcheck", opt);
 
   const std::vector<harness::IntsetConfig> grid = BuildGrid(opt.quick, opt.seed);
-  const benchutil::HostInfo host_info = benchutil::QueryHostInfo();
-  const uint32_t host_cpus = host_info.cpus;
-  // ParseArgs resolved a 0 ("auto") --jobs to the affinity-aware default.
-  const uint32_t parallel_jobs = opt.jobs;
+  std::printf("Simulator bit-identity gate: %zu configurations (fig5 slice), --jobs %u\n\n",
+              grid.size(), opt.jobs);
 
-  // Host pinning context up front: throughput numbers from a host whose
-  // affinity mask is narrower than its CPU count are not comparable to an
-  // unpinned run (the JSON header carries the same pair of numbers).
-  std::printf(
-      "Simulator self-benchmark: %zu configurations (fig5 slice), host CPUs %u "
-      "(affinity %u)\n\n",
-      grid.size(), host_cpus, host_info.affinity_cpus);
-
-  // The serial pass runs inline on this thread (SweepRunner contract for
-  // jobs=1), so the thread-local frame pool delta below covers exactly it.
-  // It is the reference every other pass — parallel, gate-check, --baseline
-  // — is held to.
-  const asfcommon::FramePool::Stats frames_before = asfcommon::FramePool::ForThread().stats();
-  const PassResult serial = RunPass(grid, 1);
-  const asfcommon::FramePool::Stats frames_after = asfcommon::FramePool::ForThread().stats();
-  // At --jobs 1 a second pass would repeat the serial one, so its result
-  // stands in for the parallel row; there is no fan-out to compare, and
-  // run-to-run determinism is what --baseline checks.
-  const PassResult parallel = parallel_jobs == 1 ? serial : RunPass(grid, parallel_jobs);
-
-  // Determinism gate: the fan-out may not change a single result.
-  for (size_t i = 0; i < grid.size(); ++i) {
-    if (serial.digests[i] != parallel.digests[i]) {
-      std::fprintf(stderr,
-                   "FAILED: config %zu diverged between --jobs 1 and --jobs %u\n"
-                   "  serial:   %s\n  parallel: %s\n",
-                   i, parallel_jobs, serial.digests[i].c_str(), parallel.digests[i].c_str());
-      return 1;
-    }
+  harness::SweepRunner sweep(opt.jobs);
+  for (const harness::IntsetConfig& cfg : grid) {
+    sweep.SubmitIntset(cfg);
   }
-
-  // Gate equivalence: the active-speculator gate and single-speculator fast
-  // path are host-side short circuits; disabling them must not move a bit.
-  if (gate_check) {
-    const bool prev = asf::SpeculatorGateDisabled();
-    asf::SetSpeculatorGateDisabled(true);
-    const PassResult ungated = RunPass(grid, 1);
-    asf::SetSpeculatorGateDisabled(prev);
-    for (size_t i = 0; i < grid.size(); ++i) {
-      if (serial.digests[i] != ungated.digests[i]) {
-        std::fprintf(stderr,
-                     "FAILED: config %zu diverged with the speculator gate disabled\n"
-                     "  gated:   %s\n  ungated: %s\n",
-                     i, serial.digests[i].c_str(), ungated.digests[i].c_str());
-        return 1;
-      }
-    }
-    std::printf("gate-check: all %zu digests identical with the gate disabled "
-                "(gated probes %llu, ungated probes %llu)\n\n",
-                grid.size(), static_cast<unsigned long long>(serial.host.dir_probes),
-                static_cast<unsigned long long>(ungated.host.dir_probes));
-  }
-
-  const double speedup =
-      parallel.wall_seconds > 0.0 ? serial.wall_seconds / parallel.wall_seconds : 0.0;
-
-  asfcommon::Table table("Simulation throughput (Mcycles = 1e6 simulated cycles)");
-  table.SetHeader({"mode", "wall s", "sim Mcycles", "sim Mcycles/s", "tx committed"});
-  table.AddRow({"serial (--jobs 1)", asfcommon::Table::Num(serial.wall_seconds, 3),
-                asfcommon::Table::Num(static_cast<double>(serial.sim_cycles) / 1e6, 1),
-                Rate(serial.sim_cycles, serial.wall_seconds),
-                asfcommon::Table::Int(static_cast<long long>(serial.committed_tx))});
-  table.AddRow({"parallel (--jobs " + std::to_string(parallel_jobs) + ")",
-                asfcommon::Table::Num(parallel.wall_seconds, 3),
-                asfcommon::Table::Num(static_cast<double>(parallel.sim_cycles) / 1e6, 1),
-                Rate(parallel.sim_cycles, parallel.wall_seconds),
-                asfcommon::Table::Int(static_cast<long long>(parallel.committed_tx))});
-  table.Print();
-  report.Add(table);
-
-  // Host fast-path telemetry (serial pass): how often the scheduler's
-  // next-event slot, the memory system's memo and the coroutine frame
-  // recycler removed work from the per-access path.
-  const uint64_t frame_allocs = frames_after.allocs - frames_before.allocs;
-  const uint64_t frame_hits = frames_after.pool_hits - frames_before.pool_hits;
-  asfcommon::Table fast("Host fast paths (serial pass)");
-  fast.SetHeader({"layer", "events", "fast-path hits", "hit rate"});
-  fast.AddRow({"scheduler wakes", asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
-               asfcommon::Table::Int(static_cast<long long>(serial.host.fast_wakes)),
-               Pct(serial.host.fast_wakes, serial.host.wakes)});
-  fast.AddRow({"scheduler wakes (inline)",
-               asfcommon::Table::Int(static_cast<long long>(serial.host.wakes)),
-               asfcommon::Table::Int(static_cast<long long>(serial.host.inline_wakes)),
-               Pct(serial.host.inline_wakes, serial.host.wakes)});
-  fast.AddRow({"mem accesses (line memo)",
-               asfcommon::Table::Int(static_cast<long long>(serial.host.mem_accesses)),
-               asfcommon::Table::Int(static_cast<long long>(serial.host.mem_line_hits)),
-               Pct(serial.host.mem_line_hits, serial.host.mem_accesses)});
-  fast.AddRow({"mem accesses (page memo)",
-               asfcommon::Table::Int(static_cast<long long>(serial.host.mem_accesses)),
-               asfcommon::Table::Int(static_cast<long long>(serial.host.mem_page_hits)),
-               Pct(serial.host.mem_page_hits, serial.host.mem_accesses)});
-  fast.AddRow({"coroutine frame allocs", asfcommon::Table::Int(static_cast<long long>(frame_allocs)),
-               asfcommon::Table::Int(static_cast<long long>(frame_hits)),
-               Pct(frame_hits, frame_allocs)});
-  fast.Print();
-  report.Add(fast);
-
-  // Conflict-directory telemetry (serial pass): how often the
-  // active-speculator gate removed conflict resolution entirely, how often
-  // the single-speculator path short-circuited the decode, and the mean
-  // number of directory probes each resolved access paid.
-  const harness::HostPerf& hp = serial.host;
-  asfcommon::Table dir("Conflict directory (serial pass)");
-  dir.SetHeader({"metric", "value", "rate"});
-  dir.AddRow({"conflict resolutions",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_resolutions)), "-"});
-  dir.AddRow({"active-speculator gate skips",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_gate_skips)),
-              Pct(hp.dir_gate_skips, hp.dir_resolutions)});
-  dir.AddRow({"single-speculator fast paths",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_solo_fast_paths)),
-              Pct(hp.dir_solo_fast_paths, hp.dir_resolutions)});
-  dir.AddRow({"directory probes",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_probes)),
-              hp.dir_resolutions == 0
-                  ? "-"
-                  : asfcommon::Table::Num(static_cast<double>(hp.dir_probes) /
-                                              static_cast<double>(hp.dir_resolutions),
-                                          3) + "/access"});
-  dir.AddRow({"directory probe hits",
-              asfcommon::Table::Int(static_cast<long long>(hp.dir_probe_hits)),
-              Pct(hp.dir_probe_hits, hp.dir_probes)});
-  dir.Print();
-  report.Add(dir);
+  sweep.Run();
 
   asfcommon::Table digests(kDigestTableTitle);
   digests.SetHeader({"configuration", "digest (tx:cycles:attempts:aborts)"});
   for (size_t i = 0; i < grid.size(); ++i) {
-    digests.AddRow({ConfigLabel(grid[i]), serial.digests[i]});
+    digests.AddRow({ConfigLabel(grid[i]), DigestOf(sweep.intset(i))});
   }
+  digests.Print();
   report.Add(digests);
-
-  asfcommon::Table summary("Self-check summary");
-  summary.SetHeader({"metric", "value"});
-  summary.AddRow({"host cpus", std::to_string(host_cpus)});
-  summary.AddRow({"host affinity cpus", std::to_string(host_info.affinity_cpus)});
-  summary.AddRow({"parallel jobs", std::to_string(parallel_jobs)});
-  summary.AddRow({"configurations", std::to_string(grid.size())});
-  summary.AddRow({"speedup (serial wall / parallel wall)", asfcommon::Table::Num(speedup, 2)});
-  summary.AddRow({"determinism", parallel_jobs == 1 ? "not compared (no fan-out at --jobs 1)"
-                                                      : "jobs-invariant (all digests equal)"});
-  summary.Print();
-  report.Add(summary);
-
   if (opt.csv) {
-    table.PrintCsv(stdout);
-    fast.PrintCsv(stdout);
-    summary.PrintCsv(stdout);
+    digests.PrintCsv(stdout);
   }
 
-  std::printf("speedup: %.2fx with %u jobs on %u host CPUs\n", speedup, parallel_jobs, host_cpus);
-  if (host_cpus >= 4 && parallel_jobs >= 4 && speedup < 2.0) {
-    // Informational, not fatal: wall-clock on shared CI hosts is noisy, and
-    // the determinism gate above is the correctness check.
-    std::printf("note: speedup below the 2x target expected of a >=4-core host\n");
-  }
   if (!baseline_path.empty()) {
     int rc = CheckBaseline(baseline_path, opt, digests);
     if (rc != 0) {

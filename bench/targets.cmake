@@ -51,27 +51,36 @@ add_test(NAME litmus_mutation_check
          COMMAND asf_explore --litmus dirty-read --runtime asf --break-rw 1)
 set_tests_properties(litmus_mutation_check PROPERTIES WILL_FAIL TRUE LABELS "litmus")
 
-# The self-benchmark smoke doubles as the sweep-determinism gate (serial and
-# parallel passes must produce identical digests); `ctest -L perf` runs just
-# the perf anchors.
+# `ctest -L perf` runs the bit-identity gate and the bench_diff checks.
 set_tests_properties(bench_smoke_perf_selfcheck bench_smoke_perf_selfcheck_json
                      PROPERTIES LABELS "perf")
 
 # Bit-identity gate for host-side fast paths: the full-mode digests must match
 # the checked-in reference report exactly (regenerate BENCH_sim_throughput.json
-# deliberately when simulated behavior is meant to change).
+# deliberately when simulated behavior is meant to change). The reference is
+# recorded at --jobs 1 and checked at --jobs 4, so the same run proves the
+# sweep jobs-invariant.
 add_test(NAME perf_selfcheck_baseline
-         COMMAND perf_selfcheck --jobs 1
-                 --baseline ${CMAKE_SOURCE_DIR}/BENCH_sim_throughput.json)
+         COMMAND perf_selfcheck --jobs 4
+                 --baseline ${CMAKE_SOURCE_DIR}/BENCH_sim_throughput.json
+                 --json ${CMAKE_BINARY_DIR}/bench/perf_selfcheck.baseline.json)
 set_tests_properties(perf_selfcheck_baseline PROPERTIES LABELS "perf")
 
-# Gate-equivalence smoke: the fig5 slice must produce identical digests with
-# the conflict directory's active-speculator gate force-disabled (same toggle
-# as the ASF_NO_SPECULATOR_GATE env var) — the gated fast path may never
-# change simulated results.
-add_test(NAME perf_smoke
-         COMMAND perf_selfcheck --quick --gate-check)
-set_tests_properties(perf_smoke PROPERTIES LABELS "perf")
+# The checked-in anchor diffed against a fresh full run must pass bench_diff:
+# a report carries nothing that moves with host noise.
+add_test(NAME bench_diff_anchor
+         COMMAND bench_diff ${CMAKE_SOURCE_DIR}/BENCH_sim_throughput.json
+                 ${CMAKE_BINARY_DIR}/bench/perf_selfcheck.baseline.json)
+set_tests_properties(bench_diff_anchor PROPERTIES
+                     DEPENDS perf_selfcheck_baseline LABELS "perf")
+# And the digest gate keeps its teeth: the --quick grid runs fewer ops per
+# thread, so every digest differs from the full-mode anchor.
+add_test(NAME bench_diff_digest_shift
+         COMMAND bench_diff ${CMAKE_SOURCE_DIR}/BENCH_sim_throughput.json
+                 ${CMAKE_BINARY_DIR}/bench/perf_selfcheck.smoke.json)
+set_tests_properties(bench_diff_digest_shift PROPERTIES
+                     DEPENDS bench_smoke_perf_selfcheck LABELS "perf"
+                     PASS_REGULAR_EXPRESSION "DIGEST SHIFT")
 
 # bench_diff sanity: a report diffed against itself reports no regressions,
 # and its --json comparison report parses with the documented top-level keys.

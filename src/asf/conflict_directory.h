@@ -65,8 +65,9 @@ class ConflictDirectory {
   };
 
   // The reader bitmap limits the directory to 64 cores; the gate must be
-  // disabled only for the fast-vs-slow equivalence gate (perf_selfcheck
-  // --gate-check), never because results depend on it.
+  // disabled only for the fast-vs-slow equivalence test
+  // (Machine::SetSpeculatorGateForTesting), never because results depend
+  // on it.
   ConflictDirectory(uint32_t num_cores, bool gate_enabled)
       : gate_enabled_(gate_enabled) {
     ASF_CHECK_MSG(num_cores <= 64, "conflict directory supports at most 64 cores");

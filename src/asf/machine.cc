@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "src/fault/fault_injector.h"
 
@@ -16,17 +15,12 @@ using asfsim::AccessOutcome;
 using asfsim::SimThread;
 
 namespace {
-
-std::atomic<bool> g_speculator_gate_disabled{std::getenv("ASF_NO_SPECULATOR_GATE") != nullptr};
-
+// Test-only global (read once per Machine construction). Default on.
+std::atomic<bool> g_speculator_gate{true};
 }  // namespace
 
-bool SpeculatorGateDisabled() {
-  return g_speculator_gate_disabled.load(std::memory_order_relaxed);
-}
-
-void SetSpeculatorGateDisabled(bool disabled) {
-  g_speculator_gate_disabled.store(disabled, std::memory_order_relaxed);
+void Machine::SetSpeculatorGateForTesting(bool enabled) {
+  g_speculator_gate.store(enabled, std::memory_order_relaxed);
 }
 
 Machine::Machine(const MachineParams& params)
@@ -34,7 +28,7 @@ Machine::Machine(const MachineParams& params)
       arena_(params.arena_bytes),
       scheduler_(params.num_cores, params.core),
       mem_(params.num_cores, params.mem),
-      directory_(params.num_cores, !SpeculatorGateDisabled()),
+      directory_(params.num_cores, g_speculator_gate.load(std::memory_order_relaxed)),
       staged_abort_(params.num_cores, AbortCause::kNone) {
   for (uint32_t i = 0; i < params.num_cores; ++i) {
     contexts_.push_back(std::make_unique<AsfContext>(i, params.variant));

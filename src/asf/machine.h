@@ -55,16 +55,6 @@ struct MachineParams {
   bool break_requester_wins_for_testing = false;
 };
 
-// Ablation/equivalence hook (bench/perf_selfcheck --gate-check; env
-// ASF_NO_SPECULATOR_GATE=1): force-disables the conflict directory's
-// active-speculator gate and single-speculator fast path so every access
-// runs the general per-line decode. The gates are pure host-side short
-// circuits — simulated results must be bit-identical either way, which the
-// perf_smoke ctest enforces. Each Machine snapshots the setting at
-// construction.
-bool SpeculatorGateDisabled();
-void SetSpeculatorGateDisabled(bool disabled);
-
 class Machine : public asfsim::AccessHandler, public asfmem::MemEventListener {
  public:
   explicit Machine(const MachineParams& params);
@@ -72,6 +62,13 @@ class Machine : public asfsim::AccessHandler, public asfmem::MemEventListener {
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
+
+  // Test hook: disables the conflict directory's active-speculator gate and
+  // single-speculator fast path for Machines constructed afterwards, so
+  // every access runs the general per-line decode. The gates are pure
+  // host-side short circuits; tests/sweep_test.cc runs both ways and asserts
+  // bit-identical results.
+  static void SetSpeculatorGateForTesting(bool enabled);
 
   asfsim::Scheduler& scheduler() { return scheduler_; }
   asfmem::MemorySystem& mem() { return mem_; }

@@ -56,7 +56,8 @@ namespace asfcommon {
 class FramePool {
  public:
   // Allocation counters for the owning thread (monotone; never reset by the
-  // pool). pool_hits/allocs is the recycle rate bench/perf_selfcheck reports.
+  // pool). pool_hits/allocs is the recycle rate perfbench reports as
+  // sim.frame_recycle_ratio.
   struct Stats {
     uint64_t allocs = 0;         // Total Alloc() calls.
     uint64_t pool_hits = 0;      // Served from a free list (no malloc).

@@ -310,7 +310,6 @@ IntsetResult RunIntsetOnParams(const IntsetConfig& cfg,
   result.host.dir_gate_skips = ds.gate_skips;
   result.host.dir_solo_fast_paths = ds.solo_fast_paths;
   result.host.dir_probes = ds.probes;
-  result.host.dir_probe_hits = ds.probe_hits;
   if (cfg.obs.metrics != nullptr) {
     asfobs::RecordConflictDirectory(
         *cfg.obs.metrics, {ds.resolutions, ds.gate_skips, ds.solo_fast_paths, ds.probes,

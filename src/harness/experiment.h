@@ -102,9 +102,9 @@ struct CycleBreakdown {
 };
 
 // Host-side simulator-performance counters for a whole run (zero simulated
-// cost; never part of result digests). Reported by bench/perf_selfcheck to
-// show how often the scheduler's next-event slot and the memory system's
-// last-line/last-page memoization fire.
+// cost; never part of result digests). perfbench reports them as its sim.*,
+// mem.* and asf.dir_* ratios, and tests/sweep_test.cc uses them to prove the
+// host fast paths engage.
 struct HostPerf {
   uint64_t wakes = 0;          // Scheduler wakes scheduled.
   uint64_t fast_wakes = 0;     // Wakes that took the next-event slot.
@@ -117,7 +117,6 @@ struct HostPerf {
   uint64_t dir_gate_skips = 0;      // Skipped: no other active speculator.
   uint64_t dir_solo_fast_paths = 0; // Single-speculator short circuit taken.
   uint64_t dir_probes = 0;          // Directory line lookups.
-  uint64_t dir_probe_hits = 0;      // Lookups that found a record.
 };
 
 struct IntsetResult {

@@ -91,7 +91,7 @@ struct MemStats {
 // Host-side fast-path counters (whole-run; not cleared by ResetStats, which
 // tracks the *simulated* measurement window). The hit rates quantify how
 // much per-access bookkeeping the last-line/last-page memoization skipped —
-// bench/perf_selfcheck reports them.
+// perfbench reports them (mem.line_memo_ratio, mem.page_memo_ratio).
 struct MemFastPathStats {
   uint64_t accesses = 0;   // Access() calls.
   uint64_t line_hits = 0;  // Full fast path: TLB+directory+cache all skipped.
@@ -157,7 +157,7 @@ class MemorySystem {
   // dirty-downgrade kills `writable`, and the memo is overwritten on every
   // slow-path access. Validity argument: re-touching the MRU way of an LRU
   // set is idempotent, so skipping it is unobservable — digests stay
-  // bit-identical (bench/perf_selfcheck + tests/mem_test.cc verify).
+  // bit-identical (tests/mem_test.cc and tests/sweep_test.cc verify).
   struct CoreMemo {
     uint64_t line = kNoAddr;
     uint64_t page = kNoAddr;

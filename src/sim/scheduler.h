@@ -392,7 +392,8 @@ class Scheduler {
   // traffic), and how many of those were consumed inline — the thread
   // continued at the suspension point itself, without an event-loop
   // iteration (ContinueOrWake counts those as scheduled, fast and inline).
-  // bench/perf_selfcheck reports the hit rates.
+  // perfbench reports the hit rates (sim.slot_wake_ratio,
+  // sim.inline_wake_ratio).
   uint64_t wakes_scheduled() const { return next_seq_; }
   uint64_t fast_wakes() const { return fast_wakes_; }
   uint64_t inline_wakes() const { return inline_wakes_; }

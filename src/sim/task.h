@@ -17,7 +17,9 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "src/common/defs.h"
@@ -56,8 +58,17 @@ struct PromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
   // The simulation does not use exceptions for control flow; any escaping
-  // exception is a bug (or OOM) and terminates.
-  void unhandled_exception() { std::abort(); }
+  // exception is a bug (or OOM) and terminates, naming what was thrown.
+  void unhandled_exception() noexcept {
+    try {
+      std::rethrow_exception(std::current_exception());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "fatal: exception escaped a simulated coroutine: %s\n", e.what());
+    } catch (...) {
+      std::fprintf(stderr, "fatal: exception escaped a simulated coroutine: non-std exception\n");
+    }
+    std::abort();
+  }
 };
 
 template <typename T>

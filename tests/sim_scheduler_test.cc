@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -92,6 +93,25 @@ TEST(Task, CompletesAndReturnsValue) {
   sched.Run();
   EXPECT_EQ(result, 42);
   EXPECT_EQ(t.core().clock(), 3u);  // One access, 3 cycles.
+}
+
+// An exception escaping simulated code is a bug; the abort must name it.
+TEST(TaskDeathTest, EscapingExceptionPrintsWhatAndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Scheduler sched(1, NoTimerParams());
+        RecordingHandler handler(3);
+        sched.SetAccessHandler(&handler);
+        SimThread* thread = nullptr;
+        auto body = [&thread]() -> Task<void> {
+          co_await thread->Access(AccessKind::kLoad, uint64_t{0x1000}, 8);
+          throw std::runtime_error("boom");
+        };
+        thread = &sched.Spawn(body());
+        sched.Run();
+      },
+      "boom");
 }
 
 TEST(Scheduler, InterleavesThreadsInCycleOrder) {

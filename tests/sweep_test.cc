@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/asf/machine.h"
 #include "src/fault/fault_schedule.h"
 #include "src/harness/experiment.h"
 #include "src/harness/stress.h"
@@ -177,8 +178,9 @@ TEST(SweepRunnerTest, GenericSubmitRunsEveryJob) {
 }
 
 // Cross-layer bit-identity gate for the host-side fast paths: a full
-// experiment run with the scheduler's next-event slot and the memory
-// system's line/page memoization disabled must produce byte-identical
+// experiment run with the scheduler's next-event slot, the memory system's
+// line/page memoization and the conflict directory's active-speculator gate
+// (plus its single-speculator path) disabled must produce byte-identical
 // results to the default (enabled) run — the fast paths are pure host
 // optimizations with zero simulated effect. Latency histograms and hot-line
 // heatmaps are collected for every run and must match too, so the gate
@@ -234,11 +236,13 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
   }
   asfsim::Scheduler::SetWakeFastPathForTesting(false);
   asfmem::MemorySystem::SetFastPathForTesting(false);
+  asf::Machine::SetSpeculatorGateForTesting(false);
   for (const auto& cfg : grid) {
     slow.push_back(harness::RunIntset(cfg));
   }
   asfsim::Scheduler::SetWakeFastPathForTesting(true);
   asfmem::MemorySystem::SetFastPathForTesting(true);
+  asf::Machine::SetSpeculatorGateForTesting(true);
 
   for (size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(Digest(fast[i]), Digest(slow[i])) << "config " << i;
@@ -253,6 +257,8 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
     // disengaged under the test toggles).
     EXPECT_GT(fast[i].host.fast_wakes, 0u) << "config " << i;
     EXPECT_GT(fast[i].host.mem_line_hits, 0u) << "config " << i;
+    EXPECT_GT(fast[i].host.dir_gate_skips + fast[i].host.dir_solo_fast_paths, 0u)
+        << "config " << i;
     if (grid[i].threads == 1) {
       // A lone thread's wakes are always the global minimum: the inline
       // consume at the suspension point must fire.
@@ -262,6 +268,8 @@ TEST(SweepRunnerTest, HostFastPathsDoNotChangeResults) {
     EXPECT_EQ(slow[i].host.inline_wakes, 0u) << "config " << i;
     EXPECT_EQ(slow[i].host.mem_line_hits, 0u) << "config " << i;
     EXPECT_EQ(slow[i].host.mem_page_hits, 0u) << "config " << i;
+    EXPECT_EQ(slow[i].host.dir_gate_skips + slow[i].host.dir_solo_fast_paths, 0u)
+        << "config " << i;
   }
 }
 

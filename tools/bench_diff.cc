@@ -7,25 +7,25 @@
 // with a trailing '%') are diffed; non-numeric cells are compared as strings.
 //
 // Exit status:
-//   0  reports agree (all rate deltas within threshold, no string changes)
-//   1  regression: a higher-is-better column (header containing "/s" or
-//      "speedup") dropped by more than --threshold percent, a lower-is-better
-//      latency percentile column (p50/p90/p99/p999) rose by more than its
-//      per-quantile threshold, or a non-numeric cell (e.g. a result digest)
-//      changed. Tail quantiles are intrinsically noisier than the median, so
-//      the gate escalates: p50 gates at 1x --threshold, p90 at 1.5x, p99 at
-//      2x, p999 at 3x. The "progress" section (watchdog verdicts) gates
-//      absolutely, with no threshold: a verdict that degrades (progress ->
-//      livelock -> starvation) or a thread starving where the baseline kept
-//      it fed is a regression regardless of every rate column.
+//   0  reports agree (latency deltas within threshold, no string changes)
+//   1  regression: a lower-is-better latency percentile column
+//      (p50/p90/p99/p999) rose by more than its per-quantile threshold, or a
+//      non-numeric cell (e.g. a result digest) changed. Tail quantiles are
+//      intrinsically noisier than the median, so the gate escalates: p50
+//      gates at 1x --threshold, p90 at 1.5x, p99 at 2x, p999 at 3x. The
+//      "progress" section (watchdog verdicts) gates absolutely, with no
+//      threshold: a verdict that degrades (progress -> livelock ->
+//      starvation) or a thread starving where the baseline kept it fed is a
+//      regression regardless of every other column.
 //   2  usage or I/O error
 //   3  schema drift: a table exists in only one of the reports, so its rows
 //      were not compared at all (pass --allow-unmatched to downgrade this to
 //      informational when the schema change is deliberate)
 //
-// Wall-clock columns ("wall s") and absolute counters are reported but never
-// gate: on shared hosts they are noisy, and a counter change always shows up
-// in a digest or rate anyway.
+// Every other numeric column (simulated throughputs such as the figures'
+// "tx/us", absolute counters) is reported but never gates: a simulated
+// change always shows up in a digest anyway, and no report carries a
+// host wall-clock rate (simulator speed is judged by perfbench).
 //
 // Digest tables are the exception to all thresholds: any table whose title
 // contains "digest" (e.g. the per-configuration result digests) gates every
@@ -173,13 +173,6 @@ bool ParseNum(const std::string& s, double* out) {
     ++end;
   }
   return *end == '\0';
-}
-
-// Higher-is-better rate columns gate the exit status; everything else is
-// informational.
-bool IsRateColumn(const std::string& header) {
-  return header.find("/s") != std::string::npos || header.find("speedup") != std::string::npos ||
-         header.find("hit rate") != std::string::npos;
 }
 
 // Lower-is-better latency percentile columns (the [latency] tables) gate on
@@ -440,8 +433,7 @@ int main(int argc, char** argv) {
           }
           double pct = od != 0.0 ? 100.0 * (nd - od) / od : 0.0;
           const double lat_scale = LatencyGateScale(header);
-          bool regressed = (IsRateColumn(header) && pct < -threshold) ||
-                           (lat_scale != 0.0 && pct > threshold * lat_scale);
+          bool regressed = lat_scale != 0.0 && pct > threshold * lat_scale;
           std::printf("  %-40s %-14s %10s -> %-10s %+7.1f%%%s\n", nrow[0].c_str(),
                       header.c_str(), ov.c_str(), nv.c_str(), pct,
                       regressed ? "  REGRESSION" : "");
@@ -469,7 +461,7 @@ int main(int argc, char** argv) {
   }
 
   // Progress gate: absolute, threshold-free. A degraded verdict or a newly
-  // starved thread is a regression even if every rate column improved.
+  // starved thread is a regression even if every other column improved.
   if (!old_progress.empty() || !new_progress.empty()) {
     std::printf("== progress ==\n");
     for (const ProgressEntry& ne : new_progress) {
